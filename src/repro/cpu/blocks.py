@@ -8,27 +8,29 @@ between control-flow/memory boundaries is just as invariant as each
 instruction, so this module compiles every maximal straight-line run
 into one **fused function** via ``compile()``/``exec`` codegen:
 
-- registers and flags the block touches are loaded into Python locals
-  once, updated locally by the inlined per-instruction statements, and
-  stored back once at the end;
+- registers, flags and special registers the block touches are loaded
+  into Python locals once, updated locally by the inlined
+  per-instruction statements, and stored back once at the end;
 - the PC is written exactly once (the fall-through address for pure
   sequential blocks, or by the inlined terminator);
-- the generated statements are literal transcriptions of the predecode
-  closures' semantics, so a fused call is bit-identical to running the
-  constituent closures back to back (guarded by
-  ``tests/cpu/test_blocks.py``, which checks every fusable opcode
-  differentially on randomized core states).
+- the per-instruction statements are rendered from the semantics table
+  (:mod:`repro.cpu.semantics`, the ``BLOCK`` target) — the same
+  templates the predecode closures and the NumPy lanes are rendered
+  from — so a fused call is bit-identical to running the constituent
+  instructions through the reference executor back to back (guarded by
+  ``tests/cpu/test_semantics.py`` per form and ``tests/cpu/test_blocks.py``
+  on randomized straight-line runs).
 
 **Block discovery rules** (following the ``KIND_*`` dispatch classes):
 a block is a maximal run of ``KIND_SEQ`` instructions, optionally ended
 by exactly one ``KIND_JUMP`` or ``KIND_DIVERGE`` terminator (JMP/CALL/
 BCC/JR/CALLR/RETI — inlined, since they only move the PC/LR).  A block
-*never* crosses ``KIND_SYNC`` (needs the synchronizer), ``KIND_STOP``
-(changes the core's mode), or a ``MFSR``/``MTSR`` with an invalid
-special-register index (must raise mid-stream exactly like the
-reference).  Blocks shorter than :data:`MIN_BLOCK` are not worth a
-guard check and stay on the per-instruction path; blocks are capped at
-:data:`MAX_BLOCK` to bound generated-source size.
+*never* crosses ``KIND_SYNC`` (needs the synchronizer) or ``KIND_STOP``
+(changes the core's mode, or an encoding outside the table — such as an
+invalid special-register index — that must raise mid-stream exactly
+like the reference).  Blocks shorter than :data:`MIN_BLOCK` are not
+worth a guard check and stay on the per-instruction path; blocks are
+capped at :data:`MAX_BLOCK` to bound generated-source size.
 
 **Memory fusion** — a ``KIND_MEM`` LD/ST normally ends the block
 because its D-Xbar outcome depends on the *runtime* cross-core address
@@ -45,11 +47,12 @@ out)`` that applies the results — so the engine can re-verify the
 actual cross-core address pattern between the phases and abandon the
 whole block (committing *nothing*) if a fact turns out wrong at
 runtime.  A wrong fact therefore costs a deopt, never exactness.
-Blocks that write core-level state mid-body (``MTSR``/``EI``/``DI``)
-are never memory-fused: those writes would land during the pure phase
-and break the nothing-committed rollback guarantee.  A load is never
-fused after a fused store (stores are deferred to commit, so the load
-would read stale memory); uniform stores are only fused single-core.
+Memory ops are never fused after a core-state write (``MTSR``/``EI``/
+``DI``) nor core-state writes after them, and a load is never fused
+after a fused store (stores are deferred to commit, so the load would
+read stale memory); uniform stores are only fused single-core.
+If-converted hammock arms (:mod:`repro.compiler.ifconv`) are inlined
+under the same rules, through the same per-instruction path.
 
 The **cycle cost** of a fused block equals its instruction count — the
 engine only calls one when that many lockstep broadcast cycles (or
@@ -64,7 +67,8 @@ shares one :class:`BlockTable`, across sweeps and repeated benchmark
 constructions alike.  Memory fusion additionally depends on the
 platform's memory geometry, so tables built with a config are keyed on
 ``(digest, memory-geometry)``; fact-free images share one table across
-all configs.
+all configs.  The batch engine's :class:`~repro.cpu.vec.VecTable`
+shares the same cache.
 """
 
 from __future__ import annotations
@@ -72,12 +76,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import NamedTuple
 
-from ..isa.spec import Cond, Opcode, ShiftOp, SpecialReg, SysOp
-from .predecode import KIND_DIVERGE, KIND_JUMP, KIND_MEM, KIND_SEQ, \
-    KIND_STOP, KIND_SYNC, _SREG_ATTR
+from .semantics import BLOCK, KIND_DIVERGE, KIND_JUMP, KIND_MEM, \
+    KIND_SEQ, KIND_SYNC, Writer, writes_core
 
 MASK = 0xFFFF
-SIGN = 0x8000
 
 #: a fused block must cover at least this many instructions — a shorter
 #: run gains nothing over per-instruction closure dispatch.
@@ -195,393 +197,147 @@ def _servable(stride: int, is_write: bool, env: MemEnv) -> bool:
     return stride % env.dm_bank_words == 0 and stride >= env.dm_bank_words
 
 
-def _writes_core_state(ins) -> bool:
-    """Does this ``KIND_SEQ`` instruction write core-level state?
+def joinable(rec, pc: int, env: MemEnv | None, *, mem: bool, store: bool,
+             core_writes: bool, arm: bool = False) -> bool:
+    """Can the SEQ/MEM record ``rec`` at ``pc`` join a block so far
+    holding fused memory ops (``mem``), a deferred store (``store``) or a
+    core-state write (``core_writes``)?  ``arm``: inside a hammock arm.
 
-    Such writes land during the pure phase of a memory-fused block and
-    would survive a guard-fail rollback, so they exclude memory fusion.
+    Core-state writes would escape the rollback of a two-phase block, so
+    they may neither follow a fused memory op nor sit in a predicated
+    arm, and no memory op may follow them; a memory op needs a servable
+    address-shape fact, and no load may follow a deferred store.
     """
-    op = ins.op
-    if op is Opcode.MTSR:
-        try:
-            sr = SpecialReg(ins.imm)
-        except ValueError:
-            return False                  # unfusable anyway
-        return sr not in (SpecialReg.COREID, SpecialReg.NCORES)
-    if op is Opcode.SYS:
-        return ins.sub in (SysOp.EI, SysOp.DI)
-    return False
+    kind, info, ins = rec
+    if kind == KIND_SEQ:
+        return not ((mem or arm) and writes_core(ins))
+    if kind != KIND_MEM or env is None or core_writes:
+        return False
+    fact = env.facts.get(pc)
+    is_write = info[0]
+    return (fact is not None and (is_write or not store)
+            and _servable(fact, is_write, env))
+
+
+def arm_fits(h, decoded: list, env: MemEnv | None, store: bool = False,
+             core_writes: bool = False) -> bool:
+    """Can every instruction of hammock ``h``'s arm be inlined
+    predicated, given the block state it would be inlined into?"""
+    for pc in range(h.arm_start, h.arm_start + h.arm_len):
+        rec = decoded[pc]
+        if not joinable(rec, pc, env, mem=True, store=store,
+                        core_writes=core_writes, arm=True):
+            return False
+        store = store or (rec[0] == KIND_MEM and rec[1][0])
+    return True
 
 
 # ---------------------------------------------------------------------------
 # Code generation
 # ---------------------------------------------------------------------------
 
-class _Writer:
-    """Accumulates the body statements and the touched-state sets."""
-
-    def __init__(self):
-        self.body: list[str] = []
-        self.regs: set[int] = set()      # loaded into locals
-        self.written: set[int] = set()   # stored back
-        self.flags: set[str] = set()     # loaded *and* stored back
-        #: lines a memory-fused block must defer to ``commit`` (core
-        #: state the terminator writes, e.g. RETI's interrupt re-enable)
-        self.commit_extra: list[str] = []
-        #: extra indentation for statements inside a predicated arm
-        self.indent = ""
-
-    def emit(self, line: str) -> None:
-        self.body.append("    " + self.indent + line)
-
-    def reg(self, index: int, *, write: bool = False) -> str:
-        self.regs.add(index)
-        if write:
-            self.written.add(index)
-        return f"r{index}"
-
-    def zn(self) -> None:
-        """The shared Z/N update every ALU op performs on ``_v``."""
-        self.flags.update(("z", "n"))
-        self.emit("fz = 1 if _v == 0 else 0")
-        self.emit("fn = 1 if _v & 32768 else 0")
+def _attr(local: str) -> str:
+    """Where state local ``local`` lives on the core."""
+    if local[0] == "r":
+        return f"regs[{local[1:]}]"
+    if local[0] == "f":
+        return f"core.flag_{local[1]}"
+    return f"core.{local[2:]}"
 
 
-def _emit_add(w: _Writer, rd: int, rs: int, b_expr: str, carry: bool) -> None:
-    w.flags.update(("z", "n", "c", "v"))
-    w.emit(f"_a = {w.reg(rs)}")
-    w.emit(f"_b = {b_expr}")
-    w.emit("_t = _a + _b + fc" if carry else "_t = _a + _b")
-    w.emit("_v = _t & 65535")
-    w.emit(f"{w.reg(rd, write=True)} = _v")
-    w.emit("fz = 1 if _v == 0 else 0")
-    w.emit("fn = 1 if _v & 32768 else 0")
-    w.emit("fc = 1 if _t > 65535 else 0")
-    w.emit("fv = 1 if not (_a ^ _b) & 32768 and (_a ^ _v) & 32768 else 0")
+class _Block:
+    """One superblock under construction."""
 
+    def __init__(self, env: MemEnv | None):
+        self.env = env
+        self.w = Writer(BLOCK)
+        #: per fused memory op: (uniform, is_write), and its _hp gate bit
+        self.mem: list[tuple[bool, bool]] = []
+        self.gates: list[int] = []
+        self.stores: list[int] = []
+        self.core_writes = False
 
-def _emit_sub(w: _Writer, rd: int | None, rs_a: int, b_expr: str,
-              borrow: bool) -> None:
-    w.flags.update(("z", "n", "c", "v"))
-    w.emit(f"_a = {w.reg(rs_a)}")
-    w.emit(f"_b = {b_expr}")
-    w.emit("_t = _a - _b - 1 + fc" if borrow else "_t = _a - _b")
-    w.emit("_v = _t & 65535")
-    if rd is not None:
-        w.emit(f"{w.reg(rd, write=True)} = _v")
-    w.emit("fz = 1 if _v == 0 else 0")
-    w.emit("fn = 1 if _v & 32768 else 0")
-    w.emit("fc = 1 if _t >= 0 else 0")
-    w.emit("fv = 1 if (_a ^ _b) & 32768 and (_a ^ _v) & 32768 else 0")
-
-
-def _emit_logic(w: _Writer, rd: int, rs: int, rt: int, op: str) -> None:
-    w.emit(f"_v = {w.reg(rs)} {op} {w.reg(rt)}")
-    w.emit(f"{w.reg(rd, write=True)} = _v")
-    w.zn()
-
-
-def _emit_reg_shift(w: _Writer, ins, kind: ShiftOp) -> None:
-    # Register-amount shifts write C only when the amount is non-zero, so
-    # C is in the touched set as a *load* even when this block never
-    # takes the writing branch.
-    w.flags.add("c")
-    w.emit(f"_a = {w.reg(ins.rs)}")
-    w.emit(f"_n = {w.reg(ins.rt)} & 15")
-    w.emit("if _n:")
-    if kind is ShiftOp.SLLI:
-        w.emit("    _s = _a << _n")
-        w.emit("    _v = _s & 65535")
-        w.emit("    fc = 1 if _s & 65536 else 0")
-    elif kind is ShiftOp.SRLI:
-        w.emit("    _v = _a >> _n")
-        w.emit("    fc = (_a >> (_n - 1)) & 1")
-    else:
-        w.emit("    _s = _a - 65536 if _a & 32768 else _a")
-        w.emit("    _v = (_s >> _n) & 65535")
-        w.emit("    fc = (_s >> (_n - 1)) & 1")
-    w.emit("else:")
-    w.emit("    _v = _a")
-    w.emit(f"{w.reg(ins.rd, write=True)} = _v")
-    w.zn()
-
-
-def _emit_imm_shift(w: _Writer, ins) -> None:
-    kind = ShiftOp(ins.sub)
-    n = ins.imm & 0xF
-    rd = ins.rd
-    if n == 0:
-        # value = a, register unchanged, C untouched; only Z/N update.
-        w.emit(f"_v = {w.reg(rd)}")
-        w.zn()
-        return
-    w.flags.add("c")
-    if kind is ShiftOp.SLLI:
-        w.emit(f"_s = {w.reg(rd)} << {n}")
-        w.emit("_v = _s & 65535")
-        w.emit("fc = 1 if _s & 65536 else 0")
-    elif kind is ShiftOp.SRLI:
-        w.emit(f"_a = {w.reg(rd)}")
-        w.emit(f"_v = _a >> {n}")
-        w.emit(f"fc = (_a >> {n - 1}) & 1")
-    else:
-        w.emit(f"_a = {w.reg(rd)}")
-        w.emit("_s = _a - 65536 if _a & 32768 else _a")
-        w.emit(f"_v = (_s >> {n}) & 65535")
-        w.emit(f"fc = (_s >> {n - 1}) & 1")
-    w.emit(f"{w.reg(rd, write=True)} = _v")
-    w.zn()
-
-
-def _emit_seq(w: _Writer, ins) -> bool:
-    """Inline one ``KIND_SEQ`` instruction; False if it cannot be fused."""
-    op = ins.op
-    if op is Opcode.ADD:
-        _emit_add(w, ins.rd, ins.rs, w.reg(ins.rt), carry=False)
-    elif op is Opcode.ADC:
-        _emit_add(w, ins.rd, ins.rs, w.reg(ins.rt), carry=True)
-    elif op is Opcode.ADDI:
-        _emit_add(w, ins.rd, ins.rs, str(ins.imm & MASK), carry=False)
-    elif op is Opcode.SUB:
-        _emit_sub(w, ins.rd, ins.rs, w.reg(ins.rt), borrow=False)
-    elif op is Opcode.SBC:
-        _emit_sub(w, ins.rd, ins.rs, w.reg(ins.rt), borrow=True)
-    elif op is Opcode.CMP:
-        _emit_sub(w, None, ins.rd, w.reg(ins.rs), borrow=False)
-    elif op is Opcode.CMPI:
-        _emit_sub(w, None, ins.rd, str(ins.imm & MASK), borrow=False)
-    elif op is Opcode.AND:
-        _emit_logic(w, ins.rd, ins.rs, ins.rt, "&")
-    elif op is Opcode.OR:
-        _emit_logic(w, ins.rd, ins.rs, ins.rt, "|")
-    elif op is Opcode.XOR:
-        _emit_logic(w, ins.rd, ins.rs, ins.rt, "^")
-    elif op is Opcode.MUL:
-        w.emit(f"_v = ({w.reg(ins.rs)} * {w.reg(ins.rt)}) & 65535")
-        w.emit(f"{w.reg(ins.rd, write=True)} = _v")
-        w.zn()
-    elif op is Opcode.MULH:
-        w.emit(f"_a = {w.reg(ins.rs)}")
-        w.emit(f"_b = {w.reg(ins.rt)}")
-        w.emit("_a = _a - 65536 if _a & 32768 else _a")
-        w.emit("_b = _b - 65536 if _b & 32768 else _b")
-        w.emit("_v = ((_a * _b) >> 16) & 65535")
-        w.emit(f"{w.reg(ins.rd, write=True)} = _v")
-        w.zn()
-    elif op is Opcode.SLL:
-        _emit_reg_shift(w, ins, ShiftOp.SLLI)
-    elif op is Opcode.SRL:
-        _emit_reg_shift(w, ins, ShiftOp.SRLI)
-    elif op is Opcode.SRA:
-        _emit_reg_shift(w, ins, ShiftOp.SRAI)
-    elif op is Opcode.SHI:
-        _emit_imm_shift(w, ins)
-    elif op is Opcode.MOV:
-        w.emit(f"{w.reg(ins.rd, write=True)} = {w.reg(ins.rs)}")
-    elif op is Opcode.LDI:
-        w.emit(f"{w.reg(ins.rd, write=True)} = {ins.imm & MASK}")
-    elif op is Opcode.LUI:
-        w.emit(f"{w.reg(ins.rd, write=True)} = {(ins.imm << 8) & MASK}")
-    elif op is Opcode.ORI:
-        w.emit(f"{w.reg(ins.rd, write=True)} = "
-               f"{w.reg(ins.rd)} | {ins.imm & 0xFF}")
-    elif op is Opcode.MFSR:
-        try:
-            attr = _SREG_ATTR[SpecialReg(ins.imm)]
-        except ValueError:
-            return False    # raises mid-stream: must stay on step()
-        w.emit(f"{w.reg(ins.rd, write=True)} = core.{attr}")
-    elif op is Opcode.MTSR:
-        try:
-            sr = SpecialReg(ins.imm)
-        except ValueError:
-            return False    # raises mid-stream: must stay on step()
-        if sr not in (SpecialReg.COREID, SpecialReg.NCORES):
-            # hard-wired registers ignore writes (still costs the cycle)
-            w.emit(f"core.{_SREG_ATTR[sr]} = {w.reg(ins.rs)} & 65535")
-    elif op is Opcode.SYS:
-        sub = ins.sub
-        if sub == SysOp.NOP:
-            pass                                    # costs the cycle only
-        elif sub == SysOp.EI:
-            w.emit("core.status = core.status | 1")
-        elif sub == SysOp.DI:
-            w.emit("core.status = core.status & 65534")
-        else:
-            return False    # HALT/SLEEP/RETI/bad sub are not KIND_SEQ
-    else:
-        return False
-    return True
-
-
-#: branch-taken expressions over the flag locals, per condition
-_BCC_EXPR = {
-    Cond.EQ: "fz",
-    Cond.NE: "not fz",
-    Cond.LT: "fn != fv",
-    Cond.GE: "fn == fv",
-    Cond.LE: "fz or fn != fv",
-    Cond.GT: "not fz and fn == fv",
-    Cond.LTU: "not fc",
-    Cond.GEU: "fc",
-}
-
-_BCC_FLAGS = {
-    Cond.EQ: ("z",), Cond.NE: ("z",),
-    Cond.LT: ("n", "v"), Cond.GE: ("n", "v"),
-    Cond.LE: ("z", "n", "v"), Cond.GT: ("z", "n", "v"),
-    Cond.LTU: ("c",), Cond.GEU: ("c",),
-}
-
-
-def _emit_terminator(w: _Writer, ins, pc: int,
-                     target: str = "core.pc") -> None:
-    """Inline the block-ending control transfer at address ``pc``.
-
-    ``target`` is where the next PC lands: ``core.pc`` directly for
-    plain blocks, the local ``_pc`` for memory-fused blocks (whose pure
-    phase must not touch the core — ``commit`` applies it).
-    """
-    op = ins.op
-    if op is Opcode.BCC:
-        w.flags.update(_BCC_FLAGS[ins.cond])
-        w.emit(f"{target} = {pc + ins.imm + 1} "
-               f"if {_BCC_EXPR[ins.cond]} else {pc + 1}")
-    elif op is Opcode.JMP:
-        w.emit(f"{target} = {ins.imm}")
-    elif op is Opcode.CALL:
-        w.emit(f"{w.reg(7, write=True)} = {(pc + 1) & MASK}")
-        w.emit(f"{target} = {ins.imm}")
-    elif op is Opcode.JR:
-        w.emit(f"{target} = {w.reg(ins.rs)}")
-    elif op is Opcode.CALLR:
-        # LR write happens *before* the target read, so CALLR R7 jumps
-        # to the new LR — the locals give the same order for free.
-        w.emit(f"{w.reg(7, write=True)} = {(pc + 1) & MASK}")
-        w.emit(f"{target} = {w.reg(ins.rs)}")
-    else:                                           # SYS RETI
-        w.emit(f"{target} = core.epc")
-        if target == "core.pc":
-            w.emit("core.status = core.status | 1")
-        else:
-            w.commit_extra.append("core.status = core.status | 1")
-
-
-def _hammock_plan(h, decoded: list, env: MemEnv | None,
-                  has_store: bool, core_writes: bool):
-    """Validate a hammock arm for inlining; a step list, or ``None``.
-
-    Every arm instruction must be fusable under the *current* block
-    state: plain ``KIND_SEQ`` ops that touch only registers/flags (no
-    core-state writes — those would escape the predicated rollback), or
-    ``KIND_MEM`` ops carrying a servable address-shape fact, subject to
-    the same ordering rules as unconditional fused memory (no load after
-    a deferred store, no memory after a core-state write).
-    """
-    plan = []
-    store_seen = has_store
-    for apc in range(h.arm_start, h.arm_start + h.arm_len):
-        rec = decoded[apc]
-        kind = rec[0]
-        ins = rec[2]
+    def add(self, rec, pc: int, gate: int = 0) -> None:
+        """Inline the SEQ or memory-fused record ``rec`` at ``pc``."""
+        kind, info, ins = rec
+        w = self.w
         if kind == KIND_SEQ:
-            if _writes_core_state(ins):
-                return None
-            if not _emit_seq(_Writer(), ins):
-                return None
-            plan.append(("seq", ins))
-        elif kind == KIND_MEM:
-            if env is None or core_writes:
-                return None
-            fact = env.facts.get(apc)
-            if fact is None:
-                return None
-            is_write = rec[1][0]
-            if store_seen and not is_write:
-                return None
-            if not _servable(fact, is_write, env):
-                return None
-            plan.append(("mem", rec[1], fact))
-            if is_write:
-                store_seen = True
+            w.inline(ins, pc)
+            self.core_writes = self.core_writes or writes_core(ins)
+            return
+        j = len(self.mem)
+        is_write, rs, imm, rd = info
+        w.emit(f"_a{j} = ({w.reg(rs)} + {imm & MASK}) & 65535")
+        if is_write:
+            # Deferred store: snapshot the value; probe the range here
+            # so the reference replays the fault, exactly like an
+            # out-of-range load.
+            w.emit(f"if _a{j} >= {self.env.dm_words}: raise IndexError")
+            w.emit(f"_s{j} = {w.reg(rd)} & 65535")
+            self.stores.append(j)
         else:
-            return None
-    return plan
+            # words is never mutated during the pure phase, so the
+            # natural IndexError doubles as the range guard.
+            w.emit(f"{w.reg(rd, write=True)} = words[_a{j}]")
+        self.mem.append((self.env.facts[pc] == 0, is_write))
+        self.gates.append(gate)
 
+    def hammock(self, h, decoded: list, cond, bit: int) -> None:
+        """Inline hammock ``h`` as an ``if``/``else`` on its branch."""
+        w = self.w
+        taken = w.taken(cond)
+        w.emit(f"if {taken if h.arm_on_taken else 'not ' + taken}:")
+        w.indent = "    "
+        w.emit(f"_hp |= {bit}")
+        first = len(self.mem)
+        for pc in range(h.arm_start, h.arm_start + h.arm_len):
+            self.add(decoded[pc], pc, bit)
+        arm_cost, skip_cost = (
+            (h.cost_taken, h.cost_not_taken) if h.arm_on_taken
+            else (h.cost_not_taken, h.cost_taken))
+        w.emit(f"_c += {arm_cost}")
+        w.indent = ""
+        w.emit("else:")
+        w.indent = "    "
+        # Sentinels keep the out tuple's layout static: a skipped arm's
+        # memory ops report address -1 and value 0, and the engine's
+        # gate bits skip them.
+        for j in range(first, len(self.mem)):
+            w.emit(f"_a{j} = -1")
+            if self.mem[j][1]:
+                w.emit(f"_s{j} = 0")
+        w.emit(f"_c += {skip_cost}")
+        w.indent = ""
 
-def _render(w: _Writer, start: int, length: int, end_kind: int) -> str:
-    lines = ["def run(core):"]
-    touched = sorted(w.regs)
-    if touched:
-        lines.append("    regs = core.regs")
-    for index in touched:
-        lines.append(f"    r{index} = regs[{index}]")
-    for flag in sorted(w.flags):
-        lines.append(f"    f{flag} = core.flag_{flag}")
-    lines.extend(w.body)
-    if end_kind == KIND_SEQ:
-        lines.append(f"    core.pc = {start + length}")
-    for index in sorted(w.written):
-        lines.append(f"    regs[{index}] = r{index}")
-    for flag in sorted(w.flags):
-        lines.append(f"    core.flag_{flag} = f{flag}")
-    return "\n".join(lines) + "\n"
+    def source(self, end_pc: str, lead: list | None) -> str:
+        """``run`` (one-phase) or ``run``/``commit`` (two-phase) source.
 
-
-def _render_mem(w: _Writer, start: int, length: int, end_kind: int,
-                n_mem: int, store_js: list, preds: bool = False) -> str:
-    """Render the two-phase ``run``/``commit`` pair of a memory block.
-
-    Out-tuple layout (positions are compile-time constants): the
-    ``n_mem`` effective addresses in op order (the engine's guard reads
-    these), the deferred store values in op order, ``_pc`` for
-    terminator-ended blocks, ``_hp``/``_cost`` for predicated blocks,
-    then written registers and flags.
-    """
-    lines = ["def run(core, words):"]
-    touched = sorted(w.regs)
-    if touched:
-        lines.append("    regs = core.regs")
-    for index in touched:
-        lines.append(f"    r{index} = regs[{index}]")
-    for flag in sorted(w.flags):
-        lines.append(f"    f{flag} = core.flag_{flag}")
-    lines.extend(w.body)
-    written = sorted(w.written)
-    flags = sorted(w.flags)
-    out = [f"_a{j}" for j in range(n_mem)]
-    out += [f"_s{j}" for j in store_js]
-    if end_kind != KIND_SEQ:
-        out.append("_pc")
-    if preds:
-        out += ["_hp", "_cost"]
-    out += [f"r{index}" for index in written]
-    out += [f"f{flag}" for flag in flags]
-    tail = "," if len(out) == 1 else ""
-    lines.append("    return (" + ", ".join(out) + tail + ")")
-    lines.append("")
-    lines.append("def commit(core, out):")
-    pos = n_mem + len(store_js)
-    if end_kind != KIND_SEQ:
-        pc_pos = pos
-        pos += 1
-    if preds:
-        pos += 2
-    if written:
-        lines.append("    regs = core.regs")
-    for index in written:
-        lines.append(f"    regs[{index}] = out[{pos}]")
-        pos += 1
-    for flag in flags:
-        lines.append(f"    core.flag_{flag} = out[{pos}]")
-        pos += 1
-    if end_kind == KIND_SEQ:
-        lines.append(f"    core.pc = {start + length}")
-    else:
-        lines.append(f"    core.pc = out[{pc_pos}]")
-    for line in w.commit_extra:
-        lines.append("    " + line)
-    return "\n".join(lines) + "\n"
+        ``lead`` is None for one-phase blocks; else the pure phase's
+        leading out-tuple entries (fused addresses in op order, deferred
+        store values, ``_hp``/``_cost``), which the next PC and the
+        written state locals follow.
+        """
+        w = self.w
+        touched = sorted(w.touched)
+        written = sorted(w.written)
+        entry = ["    regs = core.regs"] if any(
+            name[0] == "r" for name in touched) else []
+        entry += [f"    {name} = {_attr(name)}" for name in touched]
+        if lead is None:
+            return "\n".join(
+                ["def run(core):", *entry, *w.body,
+                 f"    core.pc = {end_pc}",
+                 *[f"    {_attr(name)} = {name}" for name in written]]) + "\n"
+        out = lead + [end_pc] + written
+        lines = ["def run(core, words):", *entry, *w.body,
+                 f"    return ({', '.join(out)},)", "",
+                 "def commit(core, out):"]
+        if any(name[0] == "r" for name in written):
+            lines.append("    regs = core.regs")
+        lines.append(f"    core.pc = out[{len(lead)}]")
+        lines += [f"    {_attr(name)} = out[{pos}]"
+                  for pos, name in enumerate(written, len(lead) + 1)]
+        return "\n".join(lines) + "\n"
 
 
 def compile_block(decoded: list, start: int, env: MemEnv | None = None,
@@ -603,17 +359,13 @@ def compile_block(decoded: list, start: int, env: MemEnv | None = None,
     im_len = len(decoded)
     if start >= im_len:
         return None
-    facts = env.facts if env is not None else None
-    w = _Writer()
+    b = _Block(env)
+    w = b.w
     length = 0
     plain = 0                     # unconditional cycles (cost baseline)
     end_kind = KIND_SEQ
     term = "stop"
-    mem_specs: list[tuple[bool, bool]] = []
-    store_js: list[int] = []
-    gate_of: dict[int, int] = {}  # mem op index -> _hp bit
-    preds_n = 0
-    core_writes = False
+    preds = 0
     pc = start
     while pc < im_len:
         if length >= MAX_BLOCK:
@@ -621,150 +373,64 @@ def compile_block(decoded: list, start: int, env: MemEnv | None = None,
             break
         rec = decoded[pc]
         kind = rec[0]
-        ins = rec[2]
-        if kind == KIND_SEQ:
-            writes_core = _writes_core_state(ins)
-            if writes_core and mem_specs:
-                # Core-state writes cannot follow fused memory ops —
-                # they would escape the pure phase's rollback.
+        if kind == KIND_SEQ or kind == KIND_MEM:
+            if not joinable(rec, pc, env, mem=bool(b.mem),
+                            store=bool(b.stores),
+                            core_writes=b.core_writes):
+                if kind == KIND_MEM:
+                    term = "mem"
                 break
-            if not _emit_seq(w, ins):
-                break
-            if writes_core:
-                core_writes = True
+            b.add(rec, pc)
             length += 1
             plain += 1
             pc += 1
             continue
-        if kind == KIND_MEM:
-            term = "mem"
-            if facts is None:
-                break
-            fact = facts.get(pc)
-            if fact is None:
-                break
-            is_write, rs, imm, rd = rec[1]
-            if (core_writes
-                    or (store_js and not is_write)
-                    or not _servable(fact, is_write, env)):
-                break
-            j = len(mem_specs)
-            w.emit(f"_a{j} = ({w.reg(rs)} + {imm & MASK}) & 65535")
-            if is_write:
-                # Deferred store: snapshot the value; probe the range
-                # here so the reference replays the fault, exactly like
-                # an out-of-range load.
-                w.emit(f"if _a{j} >= {env.dm_words}: raise IndexError")
-                w.emit(f"_s{j} = {w.reg(rd)} & 65535")
-                store_js.append(j)
-            else:
-                # words is never mutated during the pure phase, so the
-                # natural IndexError doubles as the range guard.
-                w.emit(f"{w.reg(rd, write=True)} = words[_a{j}]")
-            mem_specs.append((fact == 0, is_write))
-            term = "stop"
-            length += 1
-            plain += 1
-            pc += 1
+        h = hammocks.get(pc) if hammocks and kind == KIND_DIVERGE else None
+        if (h is not None and preds < MAX_PREDS
+                and length + h.span <= MAX_BLOCK
+                and arm_fits(h, decoded, env, bool(b.stores),
+                             b.core_writes)):
+            if not preds:
+                w.emit("_hp = 0")
+                w.emit("_c = 0")
+            b.hammock(h, decoded, rec[2].cond, 1 << preds)
+            preds += 1
+            length += h.span
+            pc = h.join
             continue
-        if kind == KIND_DIVERGE and hammocks is not None:
-            h = hammocks.get(pc)
-            if (h is not None and preds_n < MAX_PREDS
-                    and length + h.span <= MAX_BLOCK):
-                plan = _hammock_plan(h, decoded, env,
-                                     bool(store_js), core_writes)
-                if plan is not None:
-                    if preds_n == 0:
-                        w.emit("_hp = 0")
-                        w.emit("_c = 0")
-                    bit = 1 << preds_n
-                    w.flags.update(_BCC_FLAGS[ins.cond])
-                    taken = _BCC_EXPR[ins.cond]
-                    guard = taken if h.arm_on_taken else f"not ({taken})"
-                    w.emit(f"if {guard}:")
-                    w.indent = "    "
-                    w.emit(f"_hp |= {bit}")
-                    arm_js: list[tuple[int, bool]] = []
-                    for step in plan:
-                        if step[0] == "seq":
-                            _emit_seq(w, step[1])
-                            continue
-                        _, info, fact = step
-                        is_write, rs, imm, rd = info
-                        j = len(mem_specs)
-                        w.emit(f"_a{j} = ({w.reg(rs)} + {imm & MASK})"
-                               f" & 65535")
-                        if is_write:
-                            w.emit(f"if _a{j} >= {env.dm_words}: "
-                                   f"raise IndexError")
-                            w.emit(f"_s{j} = {w.reg(rd)} & 65535")
-                            store_js.append(j)
-                        else:
-                            w.emit(f"{w.reg(rd, write=True)} = "
-                                   f"words[_a{j}]")
-                        mem_specs.append((fact == 0, is_write))
-                        gate_of[j] = bit
-                        arm_js.append((j, is_write))
-                    cost_arm = (h.cost_taken if h.arm_on_taken
-                                else h.cost_not_taken)
-                    cost_skip = (h.cost_not_taken if h.arm_on_taken
-                                 else h.cost_taken)
-                    w.emit(f"_c += {cost_arm}")
-                    w.indent = ""
-                    w.emit("else:")
-                    w.indent = "    "
-                    # Sentinels keep the out tuple's layout static: a
-                    # skipped arm's memory ops report address -1 and
-                    # value 0, and the engine's gate bits skip them.
-                    for j, is_write in arm_js:
-                        w.emit(f"_a{j} = -1")
-                        if is_write:
-                            w.emit(f"_s{j} = 0")
-                    w.emit(f"_c += {cost_skip}")
-                    w.indent = ""
-                    preds_n += 1
-                    length += h.span
-                    pc = h.join
-                    continue
         if kind in (KIND_JUMP, KIND_DIVERGE) and length >= 1:
-            _emit_terminator(w, ins, pc,
-                             "_pc" if mem_specs or preds_n else "core.pc")
+            w.emit(f"_pc = {w.inline(rec[2], pc)}")
             length += 1
             plain += 1
             end_kind = kind
             term = "diverge"
         elif kind == KIND_SYNC:
             term = "sync"
-        elif kind == KIND_STOP:
-            term = "stop"
         break
     if length < MIN_BLOCK:
         return None
-    if preds_n:
-        w.emit(f"_cost = {plain} + _c")
-    if mem_specs or preds_n:
-        source = _render_mem(w, start, length, end_kind,
-                             len(mem_specs), store_js, bool(preds_n))
-    else:
-        source = _render(w, start, length, end_kind)
+    end_pc = str(start + length) if end_kind == KIND_SEQ else "_pc"
+    mem = tuple(b.mem)
+    lead = None                   # one-phase unless memory or predicates
+    pred_at = cost_at = -1
+    if mem or preds:
+        lead = [f"_a{j}" for j in range(len(mem))]
+        lead += [f"_s{j}" for j in b.stores]
+        if preds:
+            w.emit(f"_cost = {plain} + _c")
+            pred_at = len(lead)
+            cost_at = pred_at + 1
+            lead += ["_hp", "_cost"]
+    source = b.source(end_pc, lead)
     namespace: dict = {}
     exec(compile(source, f"<fused@{start}+{length}>", "exec"), namespace)
-    if not (mem_specs or preds_n):
-        return FusedBlock(namespace["run"], length, end_kind, source,
-                          term)
-    stores = tuple((j, len(mem_specs) + position)
-                   for position, j in enumerate(store_js))
-    pred_at = -1
-    cost_at = -1
-    gates: tuple = ()
-    if preds_n:
-        pred_at = (len(mem_specs) + len(store_js)
-                   + (0 if end_kind == KIND_SEQ else 1))
-        cost_at = pred_at + 1
-        gates = tuple(gate_of.get(j, 0) for j in range(len(mem_specs)))
+    if lead is None:
+        return FusedBlock(namespace["run"], length, end_kind, source, term)
+    stores = tuple((j, len(mem) + position)
+                   for position, j in enumerate(b.stores))
     return FusedBlock(namespace["run"], length, end_kind, source, term,
-                      tuple(mem_specs), stores, namespace["commit"],
-                      preds_n, gates, pred_at, cost_at)
+                      mem, stores, namespace["commit"], preds,
+                      tuple(b.gates) if preds else (), pred_at, cost_at)
 
 
 # ---------------------------------------------------------------------------
@@ -783,6 +449,9 @@ class BlockTable:
 
     __slots__ = ("digest", "blocks", "_decoded", "_env", "_hammocks")
 
+    #: the block compiler this table memoizes
+    compile = staticmethod(compile_block)
+
     def __init__(self, decoded: list, digest: str | None = None,
                  env: MemEnv | None = None,
                  hammocks: dict | None = None):
@@ -790,38 +459,47 @@ class BlockTable:
         self._decoded = decoded
         self._env = env
         self._hammocks = hammocks
-        #: start address -> FusedBlock | None, filled lazily
-        self.blocks: dict[int, FusedBlock | None] = {}
+        #: start address -> compiled block | None, filled lazily
+        self.blocks: dict = {}
 
-    def at(self, start: int) -> FusedBlock | None:
-        """The fused block starting at ``start`` (compiling if needed)."""
+    def at(self, start: int):
+        """The block starting at ``start`` (compiling if needed)."""
         try:
             return self.blocks[start]
         except KeyError:
-            block = compile_block(self._decoded, start, self._env,
-                                  self._hammocks)
+            block = self.compile(self._decoded, start, self._env,
+                                 self._hammocks)
             self.blocks[start] = block
             return block
 
     def compiled(self) -> int:
-        """Number of distinct fused blocks compiled so far."""
+        """Number of distinct blocks compiled so far."""
         return sum(1 for block in self.blocks.values() if block is not None)
 
 
-#: cache key -> BlockTable, LRU-bounded.  Sized for sweeps: one entry
-#: per distinct built image (x memory geometry for fact-carrying
-#: images), and a whole ablation grid uses well under this.
+#: cache key -> table, LRU-bounded.  Sized for sweeps: one entry per
+#: distinct built image (x memory geometry for fact-carrying images, x
+#: table class), and a whole ablation grid uses well under this.
 _TABLE_LIMIT = 64
 _tables: "OrderedDict[tuple, BlockTable]" = OrderedDict()
 
 
 def table_for(program, config=None) -> BlockTable:
-    """The shared :class:`BlockTable` for ``program``'s built image.
+    """The shared :class:`BlockTable` for ``program``'s built image (see
+    :func:`cached_table`)."""
+    return cached_table(BlockTable, program, config)
+
+
+def cached_table(cls, program, config=None):
+    """The shared ``cls`` table — a :class:`BlockTable`, or the batch
+    engine's :class:`~repro.cpu.vec.VecTable` — for ``program``'s built
+    image.
 
     Keyed on :meth:`Program.digest`, so two independently-built but
     bit-identical images (e.g. the same kernel compiled in two sweep
     processes' requests) share one compiled table, and any image change
-    lands on a fresh key — the cache can never serve stale blocks.
+    — hammock facts included — lands on a fresh key: the cache can never
+    serve stale blocks.
 
     ``config`` (a :class:`~repro.platform.config.PlatformConfig`)
     enables memory fusion for images carrying ``mem_facts``: whether a
@@ -840,14 +518,14 @@ def table_for(program, config=None) -> BlockTable:
     try:
         digest = program.digest()
     except Exception:
-        return BlockTable(program.predecoded(), None, env, hammocks)
-    key = (digest,) if env is None else (digest,) + tuple(env[1:])
+        return cls(program.predecoded(), None, env, hammocks)
+    key = (cls, digest) if env is None else (cls, digest) + tuple(env[1:])
     table = _tables.get(key)
     if table is None:
         if len(_tables) >= _TABLE_LIMIT:
             _tables.popitem(last=False)
-        table = _tables[key] = BlockTable(program.predecoded(), digest,
-                                          env, hammocks)
+        table = _tables[key] = cls(program.predecoded(), digest, env,
+                                   hammocks)
     else:
         _tables.move_to_end(key)
     return table

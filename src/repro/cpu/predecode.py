@@ -10,10 +10,11 @@ record:
 
 ``(kind, payload, ins)`` where
 
-- ``kind`` is a small-int dispatch class (see the ``KIND_*`` constants)
-  telling the engine how the instruction interacts with the platform —
-  whether it needs crossbar arbitration, whether it can change the core's
-  PC non-uniformly, whether it can change the core's mode;
+- ``kind`` is a small-int dispatch class (see the ``KIND_*`` constants
+  of :mod:`repro.cpu.semantics`) telling the engine how the instruction
+  interacts with the platform — whether it needs crossbar arbitration,
+  whether it can change the core's PC non-uniformly, whether it can
+  change the core's mode;
 - ``payload`` is, for plain instructions, a closure ``run(core)`` that
   applies the instruction's full architectural effect (registers, flags,
   PC) to one :class:`~repro.cpu.state.CoreState` with all operands
@@ -22,11 +23,18 @@ record:
   ``None``; and
 - ``ins`` is the original :class:`~repro.isa.instruction.Instruction`.
 
-The closures are semantically bit-exact with :func:`execute_plain` +
-:mod:`repro.cpu.alu` (guarded by ``tests/cpu/test_predecode.py``, which
-differentially checks every opcode against the reference executor), but
-perform no enum comparison, no operand attribute walk and no ``AluResult``
-allocation at execution time.
+The closures are rendered from the semantics table
+(:data:`~repro.cpu.semantics.FORMS`): each form's statement templates
+become one closure *factory*, compiled once per process, whose
+parameters are the form's folded operand constants — so a closure
+performs no enum comparison, no operand attribute walk and no
+``AluResult`` allocation at execution time, and instantiating one per
+distinct instruction costs a function call.  Forms the engines never
+run inline (``KIND_STOP``, invalid special registers, undefined
+sub-ops) get a closure that calls :func:`execute_plain` itself, so
+their effects and errors match the reference by construction.
+``tests/cpu/test_semantics.py`` checks every form differentially
+against the reference executor.
 
 Memory (``LD``/``ST``) and synchronizer (``SINC``/``SDEC``) instructions
 complete through crossbar arbitration; the cycle engine owns their
@@ -36,439 +44,59 @@ execution.
 from __future__ import annotations
 
 from ..isa.instruction import Instruction
-from ..isa.spec import Cond, Opcode, ShiftOp, SpecialReg, SysOp
-from .executor import ExecutionError
-from .state import CoreMode
-
-MASK = 0xFFFF
-SIGN = 0x8000
-CARRY_BIT = MASK + 1
-
-# ---------------------------------------------------------------------------
-# Dispatch classes
-# ---------------------------------------------------------------------------
-
-#: Plain instruction; every executing core's PC advances to ``pc + 1``.
-KIND_SEQ = 0
-#: Plain control flow with a *uniform* target (JMP/CALL): cores executing
-#: it in lockstep land on the same PC.
-KIND_JUMP = 1
-#: Plain control flow whose target depends on per-core state (BCC/JR/
-#: CALLR/RETI): lockstep cores may diverge and the engine must re-check.
-KIND_DIVERGE = 2
-#: Plain instruction that changes the core's *mode* (HALT/SLEEP) or is
-#: otherwise unsafe to execute inside a lockstep burst; the engine defers
-#: the cycle to the reference ``Machine.step``.
-KIND_STOP = 3
-#: LD/ST — completes through D-Xbar arbitration; no ``run`` closure.
-KIND_MEM = 4
-#: SINC/SDEC — completes through the synchronizer; no ``run`` closure.
-KIND_SYNC = 5
-
-#: kinds the lockstep burst may execute directly (``kind <= BURSTABLE``).
-BURSTABLE = KIND_DIVERGE
-
-
-# ---------------------------------------------------------------------------
-# Per-opcode compilers.  Each returns (kind, run).
-# ---------------------------------------------------------------------------
-
-def _add_like(rd: int, rs: int, rt_or_imm, *, imm: bool, carry: bool):
-    """ADD/ADDI/ADC share one shape: rd <- a + b (+C), all flags."""
-    def run(core):
-        regs = core.regs
-        a = regs[rs]
-        b = rt_or_imm if imm else regs[rt_or_imm]
-        total = a + b + (core.flag_c if carry else 0)
-        value = total & MASK
-        regs[rd] = value
-        core.flag_z = int(value == 0)
-        core.flag_n = int(bool(value & SIGN))
-        core.flag_c = int(total > MASK)
-        core.flag_v = int(bool(not ((a ^ b) & SIGN) and ((a ^ value) & SIGN)))
-        core.pc += 1
-    return KIND_SEQ, run
-
-
-def _sub_like(rs_a, rs_b, *, rd: int | None, imm: bool, borrow: bool):
-    """SUB/SBC/CMP/CMPI: a - b (- borrow); CMP variants skip the write."""
-    def run(core):
-        regs = core.regs
-        a = regs[rs_a]
-        b = rs_b if imm else regs[rs_b]
-        total = a - b - ((1 - core.flag_c) if borrow else 0)
-        value = total & MASK
-        if rd is not None:
-            regs[rd] = value
-        core.flag_z = int(value == 0)
-        core.flag_n = int(bool(value & SIGN))
-        core.flag_c = int(total >= 0)
-        core.flag_v = int(bool(((a ^ b) & SIGN) and ((a ^ value) & SIGN)))
-        core.pc += 1
-    return KIND_SEQ, run
-
-
-def _c_add(ins):
-    return _add_like(ins.rd, ins.rs, ins.rt, imm=False, carry=False)
-
-
-def _c_adc(ins):
-    return _add_like(ins.rd, ins.rs, ins.rt, imm=False, carry=True)
-
-
-def _c_addi(ins):
-    return _add_like(ins.rd, ins.rs, ins.imm & MASK, imm=True, carry=False)
-
-
-def _c_sub(ins):
-    return _sub_like(ins.rs, ins.rt, rd=ins.rd, imm=False, borrow=False)
-
-
-def _c_sbc(ins):
-    return _sub_like(ins.rs, ins.rt, rd=ins.rd, imm=False, borrow=True)
-
-
-def _c_cmp(ins):
-    return _sub_like(ins.rd, ins.rs, rd=None, imm=False, borrow=False)
-
-
-def _c_cmpi(ins):
-    return _sub_like(ins.rd, ins.imm & MASK, rd=None, imm=True, borrow=False)
-
-
-def _logical(rd: int, rs: int, rt: int, op: str):
-    if op == "and":
-        def combine(a, b): return a & b
-    elif op == "or":
-        def combine(a, b): return a | b
-    else:
-        def combine(a, b): return a ^ b
-
-    def run(core):
-        regs = core.regs
-        value = combine(regs[rs], regs[rt])
-        regs[rd] = value
-        core.flag_z = int(value == 0)
-        core.flag_n = int(bool(value & SIGN))
-        core.pc += 1
-    return KIND_SEQ, run
-
-
-def _c_and(ins):
-    return _logical(ins.rd, ins.rs, ins.rt, "and")
-
-
-def _c_or(ins):
-    return _logical(ins.rd, ins.rs, ins.rt, "or")
-
-
-def _c_xor(ins):
-    return _logical(ins.rd, ins.rs, ins.rt, "xor")
-
-
-def _c_mul(ins):
-    rd, rs, rt = ins.rd, ins.rs, ins.rt
-
-    def run(core):
-        regs = core.regs
-        value = (regs[rs] * regs[rt]) & MASK
-        regs[rd] = value
-        core.flag_z = int(value == 0)
-        core.flag_n = int(bool(value & SIGN))
-        core.pc += 1
-    return KIND_SEQ, run
-
-
-def _c_mulh(ins):
-    rd, rs, rt = ins.rd, ins.rs, ins.rt
-
-    def run(core):
-        regs = core.regs
-        a = regs[rs]
-        b = regs[rt]
-        sa = a - 0x10000 if a & SIGN else a
-        sb = b - 0x10000 if b & SIGN else b
-        value = ((sa * sb) >> 16) & MASK
-        regs[rd] = value
-        core.flag_z = int(value == 0)
-        core.flag_n = int(bool(value & SIGN))
-        core.pc += 1
-    return KIND_SEQ, run
-
-
-def _shift(rd: int, src: int, kind: ShiftOp, amount: int | None, rt: int = 0):
-    """Register (amount None -> regs[rt]) and immediate shifts."""
-    def run(core):
-        regs = core.regs
-        a = regs[src]
-        n = (regs[rt] if amount is None else amount) & 0xF
-        if n == 0:
-            value = a
-            c = None
-        elif kind is ShiftOp.SLLI:
-            shifted = a << n
-            value = shifted & MASK
-            c = int(bool(shifted & CARRY_BIT))
-        elif kind is ShiftOp.SRLI:
-            value = a >> n
-            c = (a >> (n - 1)) & 1
-        else:
-            signed = a - 0x10000 if a & SIGN else a
-            value = (signed >> n) & MASK
-            c = (signed >> (n - 1)) & 1
-        regs[rd] = value
-        core.flag_z = int(value == 0)
-        core.flag_n = int(bool(value & SIGN))
-        if c is not None:
-            core.flag_c = c
-        core.pc += 1
-    return KIND_SEQ, run
-
-
-def _c_sll(ins):
-    return _shift(ins.rd, ins.rs, ShiftOp.SLLI, None, ins.rt)
-
-
-def _c_srl(ins):
-    return _shift(ins.rd, ins.rs, ShiftOp.SRLI, None, ins.rt)
-
-
-def _c_sra(ins):
-    return _shift(ins.rd, ins.rs, ShiftOp.SRAI, None, ins.rt)
-
-
-def _c_shi(ins):
-    return _shift(ins.rd, ins.rd, ShiftOp(ins.sub), ins.imm)
-
-
-def _c_mov(ins):
-    rd, rs = ins.rd, ins.rs
-
-    def run(core):
-        core.regs[rd] = core.regs[rs]
-        core.pc += 1
-    return KIND_SEQ, run
-
-
-_SREG_ATTR = {
-    SpecialReg.RSYNC: "rsync",
-    SpecialReg.IVEC: "ivec",
-    SpecialReg.EPC: "epc",
-    SpecialReg.STATUS: "status",
-    SpecialReg.COREID: "coreid",
-    SpecialReg.NCORES: "ncores",
-}
-
-
-def _c_mfsr(ins):
-    rd, index = ins.rd, ins.imm
-    try:
-        attr = _SREG_ATTR[SpecialReg(index)]
-    except ValueError:
-        def run(core):                      # raises exactly like the slow path
-            core.regs[rd] = core.read_special(index)
-            core.pc += 1
-        return KIND_SEQ, run
-
-    def run(core):
-        core.regs[rd] = getattr(core, attr)
-        core.pc += 1
-    return KIND_SEQ, run
-
-
-def _c_mtsr(ins):
-    rs, index = ins.rs, ins.imm
-    try:
-        sr = SpecialReg(index)
-    except ValueError:
-        def run(core):                      # raises exactly like the slow path
-            core.write_special(index, core.regs[rs])
-            core.pc += 1
-        return KIND_SEQ, run
-    if sr in (SpecialReg.COREID, SpecialReg.NCORES):
-        def run(core):                      # hard-wired: write ignored
-            core.pc += 1
-        return KIND_SEQ, run
-    attr = _SREG_ATTR[sr]
-
-    def run(core):
-        setattr(core, attr, core.regs[rs] & MASK)
-        core.pc += 1
-    return KIND_SEQ, run
-
-
-def _c_ldi(ins):
-    rd, value = ins.rd, ins.imm & MASK
-
-    def run(core):
-        core.regs[rd] = value
-        core.pc += 1
-    return KIND_SEQ, run
-
-
-def _c_lui(ins):
-    rd, value = ins.rd, (ins.imm << 8) & MASK
-
-    def run(core):
-        core.regs[rd] = value
-        core.pc += 1
-    return KIND_SEQ, run
-
-
-def _c_ori(ins):
-    rd, bits = ins.rd, ins.imm & 0xFF
-
-    def run(core):
-        regs = core.regs
-        regs[rd] = regs[rd] | bits
-        core.pc += 1
-    return KIND_SEQ, run
-
-
-# branch-taken predicates, pre-bound per condition
-_BCC_TAKEN = {
-    Cond.EQ: lambda core: core.flag_z,
-    Cond.NE: lambda core: not core.flag_z,
-    Cond.LT: lambda core: core.flag_n != core.flag_v,
-    Cond.GE: lambda core: core.flag_n == core.flag_v,
-    Cond.LE: lambda core: core.flag_z or core.flag_n != core.flag_v,
-    Cond.GT: lambda core: not core.flag_z and core.flag_n == core.flag_v,
-    Cond.LTU: lambda core: not core.flag_c,
-    Cond.GEU: lambda core: core.flag_c,
-}
-
-
-def _c_bcc(ins):
-    taken = _BCC_TAKEN[ins.cond]
-    offset = ins.imm + 1
-
-    def run(core):
-        core.pc += offset if taken(core) else 1
-    return KIND_DIVERGE, run
-
-
-def _c_jmp(ins):
-    target = ins.imm
-
-    def run(core):
-        core.pc = target
-    return KIND_JUMP, run
-
-
-def _c_call(ins):
-    target = ins.imm
-
-    def run(core):
-        core.regs[7] = (core.pc + 1) & MASK
-        core.pc = target
-    return KIND_JUMP, run
-
-
-def _c_jr(ins):
-    rs = ins.rs
-
-    def run(core):
-        core.pc = core.regs[rs]
-    return KIND_DIVERGE, run
-
-
-def _c_callr(ins):
-    rs = ins.rs
-
-    def run(core):
-        core.regs[7] = (core.pc + 1) & MASK
-        core.pc = core.regs[rs]
-    return KIND_DIVERGE, run
-
-
-def _c_sys(ins):
-    sub = ins.sub
-    if sub == SysOp.NOP:
-        def run(core):
-            core.pc += 1
-        return KIND_SEQ, run
-    if sub == SysOp.HALT:
-        def run(core):
-            core.mode = CoreMode.HALTED
-            core.pc += 1
-        return KIND_STOP, run
-    if sub == SysOp.SLEEP:
-        def run(core):
-            core.mode = CoreMode.SLEEPING
-            core.pc += 1
-        return KIND_STOP, run
-    if sub == SysOp.RETI:
-        def run(core):
-            core.pc = core.epc
-            core.status |= 0x0001
-        return KIND_DIVERGE, run
-    if sub == SysOp.EI:
-        # Safe inside a burst: bursts never overlap a cycle in which an
-        # interrupt is pending or could become pending.
-        def run(core):
-            core.status |= 0x0001
-            core.pc += 1
-        return KIND_SEQ, run
-    if sub == SysOp.DI:
-        def run(core):
-            core.status &= ~0x0001 & MASK
-            core.pc += 1
-        return KIND_SEQ, run
-
-    def run(core):                          # matches execute_plain's error
-        raise ExecutionError(f"bad SYS sub-op {sub}")
-    return KIND_STOP, run
-
-
-def _c_mem(ins):
-    # operand tuple for the engine's inline lockstep memory cycle
-    return KIND_MEM, (ins.op is Opcode.ST, ins.rs, ins.imm, ins.rd)
-
-
-def _c_sync(ins):
-    return KIND_SYNC, None
-
-
-_COMPILERS = {
-    Opcode.SYS: _c_sys,
-    Opcode.ADD: _c_add,
-    Opcode.SUB: _c_sub,
-    Opcode.AND: _c_and,
-    Opcode.OR: _c_or,
-    Opcode.XOR: _c_xor,
-    Opcode.ADC: _c_adc,
-    Opcode.SBC: _c_sbc,
-    Opcode.MUL: _c_mul,
-    Opcode.MULH: _c_mulh,
-    Opcode.SLL: _c_sll,
-    Opcode.SRL: _c_srl,
-    Opcode.SRA: _c_sra,
-    Opcode.CMP: _c_cmp,
-    Opcode.MOV: _c_mov,
-    Opcode.MFSR: _c_mfsr,
-    Opcode.MTSR: _c_mtsr,
-    Opcode.ADDI: _c_addi,
-    Opcode.LDI: _c_ldi,
-    Opcode.LUI: _c_lui,
-    Opcode.ORI: _c_ori,
-    Opcode.CMPI: _c_cmpi,
-    Opcode.SHI: _c_shi,
-    Opcode.LD: _c_mem,
-    Opcode.ST: _c_mem,
-    Opcode.BCC: _c_bcc,
-    Opcode.JMP: _c_jmp,
-    Opcode.CALL: _c_call,
-    Opcode.JR: _c_jr,
-    Opcode.CALLR: _c_callr,
-    Opcode.SINC: _c_sync,
-    Opcode.SDEC: _c_sync,
-}
+from ..isa.spec import Opcode
+from .executor import execute_plain
+from .semantics import (  # noqa: F401  (KIND_* re-exported for engines)
+    BURSTABLE,
+    CLOSURE,
+    FORMS,
+    KIND_DIVERGE,
+    KIND_JUMP,
+    KIND_MEM,
+    KIND_SEQ,
+    KIND_STOP,
+    KIND_SYNC,
+    form_key,
+    rendered,
+)
+
+#: form key -> (closure factory, folded-constants function), compiled
+#: once per process
+_factories: dict = {}
+
+
+def _factory(ins: Instruction, key: tuple) -> tuple:
+    r = rendered(ins, CLOSURE)
+    body = [*r.lines,
+            "core.pc += 1" if r.pc is None else f"core.pc = {r.pc}"]
+    if any("regs[" in line for line in body):
+        body.insert(0, "regs = core.regs")
+    params = ", ".join(f"k{i}" for i in range(r.slots))
+    source = (f"def make({params}):\n    def run(core):\n"
+              + "".join(f"        {line}\n" for line in body)
+              + "    return run\n")
+    namespace: dict = {}
+    exec(compile(source, f"<form {key[0].name}>", "exec"), namespace)
+    entry = _factories[key] = (namespace["make"], r.values)
+    return entry
 
 
 def compile_instruction(ins: Instruction) -> tuple:
     """Compile one instruction into its ``(kind, payload, ins)`` record."""
-    kind, payload = _COMPILERS[ins.op](ins)
-    return kind, payload, ins
+    key = form_key(ins)
+    form = FORMS.get(key)
+    kind = KIND_STOP if form is None else form.kind
+    if kind == KIND_MEM:
+        # operand tuple for the engine's inline lockstep memory cycle
+        return kind, (ins.op is Opcode.ST, ins.rs, ins.imm, ins.rd), ins
+    if kind == KIND_SYNC:
+        return kind, None, ins
+    if kind == KIND_STOP:
+        return kind, lambda core: execute_plain(core, ins), ins
+    # a plain instruction: its form's closure factory, bound to the
+    # instruction's folded operand constants
+    make, values = _factories.get(key) or _factory(ins, key)
+    return kind, make(*values(ins.rd, ins.rs, ins.rt, ins.imm, 0)), ins
 
 
 def predecode(instructions) -> list[tuple]:
@@ -483,7 +111,6 @@ def predecode(instructions) -> list[tuple]:
     for ins in instructions:
         record = cache.get(ins)
         if record is None:
-            kind, payload = _COMPILERS[ins.op](ins)
-            record = cache[ins] = (kind, payload, ins)
+            record = cache[ins] = compile_instruction(ins)
         records.append(record)
     return records

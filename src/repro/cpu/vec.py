@@ -13,11 +13,13 @@ This module vectorizes both axes at once.  Machine state is transposed
 into a structure-of-arrays layout (:class:`VecState`): one
 ``(runs, cores, 8)`` register file, ``(runs, cores)`` flag and
 special-register planes, one ``(runs, words)`` data-memory plane.  Every
-straight-line block is compiled — by the same codegen discipline as
-:mod:`repro.cpu.blocks`, transcribed into NumPy expressions — into one
-**vectorized block** whose single call applies the block to *every core
-of every run* in the batch.  A batch of 64 runs on 8 cores advances 512
-lanes per block call.
+straight-line block is compiled — by the same discovery walk as
+:mod:`repro.cpu.blocks`, with its statements taken from the semantics
+table's ``VEC`` rendering (:mod:`repro.cpu.semantics`: the templates the
+scalar closures and superblocks are rendered from, with selects as
+``np.where``) — into one **vectorized block** whose single call applies
+the block to *every core of every run* in the batch.  A batch of 64 runs
+on 8 cores advances 512 lanes per block call.
 
 **Guarded deopt, end to end.**  The batch engine executes only regimes
 it can prove are in cross-run lockstep; everything else *peels* the
@@ -27,9 +29,10 @@ affected runs out of the batch, bit-exactly, back to their reference
 - machines with pending work (IRQ schedules, timers, outstanding memory
   or synchronizer state, non-running cores) are refused at entry and
   never touched (:class:`BatchStats` counts each refusal by reason);
-- a ``HALT``/``SLEEP``, an unfusable instruction, an off-image PC or an
-  out-of-range address peels the whole group at that PC (the scalar
-  engine then raises or arbitrates exactly as it would have);
+- a ``HALT``/``SLEEP`` (or an encoding outside the ISA table), an
+  off-image PC or an out-of-range address peels the whole group at
+  that PC (the scalar engine then raises or arbitrates exactly as it
+  would have);
 - a ``SINC``/``SDEC`` every core of every run executes together is
   replayed vectorized — the merged two-cycle checkpoint RMW applied to
   the whole ``(runs,)`` plane of checkpoint words — and only the runs
@@ -61,7 +64,7 @@ scalar dispatch.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from ast import literal_eval
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -70,7 +73,7 @@ try:
 except ImportError:                      # pragma: no cover - numpy is a
     np = None                            # declared dependency; belt+braces
 
-from ..isa.spec import Cond, Opcode, ShiftOp, SpecialReg, SysOp
+from ..isa.spec import Opcode
 from ..platform.synchronizer import (
     COUNT_MASK,
     COUNT_SHIFT,
@@ -78,15 +81,16 @@ from ..platform.synchronizer import (
     CheckpointStats,
     SyncCompletion,
 )
-from .blocks import MemEnv, _servable, _writes_core_state
-from .predecode import (
+from .blocks import BlockTable, MemEnv, arm_fits, cached_table, joinable
+from .semantics import (
     KIND_DIVERGE,
     KIND_JUMP,
     KIND_MEM,
     KIND_SEQ,
-    KIND_STOP,
     KIND_SYNC,
-    _SREG_ATTR,
+    VEC,
+    Writer,
+    writes_core,
 )
 from .state import CoreMode
 
@@ -94,7 +98,6 @@ from .state import CoreMode
 AVAILABLE = np is not None
 
 MASK = 0xFFFF
-SIGN = 0x8000
 
 #: even a single vectorized instruction beats per-core closure calls
 #: once the batch is wider than a few lanes, so unlike the scalar
@@ -151,280 +154,37 @@ class VecBlock(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Code generation — NumPy transcription of the repro.cpu.blocks emitters.
-# The lane values live in int64 arrays, which is exact for every ulp16
-# operation (the widest intermediate, MULH's 32-bit product, fits with
-# room to spare), and flag writes produce 0/1 values just like the
-# scalar closures.  Comparisons are spelled ``!= 0`` so the expressions
-# stay correct whether a flag local is an array or a constant-folded
-# Python scalar.
+# Code generation — the semantics table's VEC rendering.  Lane values live
+# in int64 arrays, which is exact for every ulp16 operation (the widest
+# intermediate, MULH's 32-bit product, fits with room to spare); flag
+# writes produce booleans or 0/1 bits, both of which the int64 planes
+# store as 0/1.  A local may also be a constant-folded Python scalar
+# (``LDI`` into a register), which broadcasts like any plane.
 # ---------------------------------------------------------------------------
 
-class _VecWriter:
-    """Accumulates body statements and touched-state sets."""
-
-    def __init__(self):
-        self.body: list[str] = []
-        self.regs: set[int] = set()      # gathered into locals
-        self.written: set[int] = set()   # scattered back
-        self.flags: set[str] = set()     # gathered *and* scattered back
-        #: state-plane mutations a memory-fused block defers until every
-        #: guard in the body has passed (D-memory scatters, priority
-        #: rotations, RETI's interrupt re-enable) — rendered between the
-        #: body and the register/flag scatter-back
-        self.deferred: list[str] = []
-
-    def emit(self, line: str) -> None:
-        self.body.append("    " + line)
-
-    def defer(self, line: str) -> None:
-        self.deferred.append("    " + line)
-
-    def reg(self, index: int, *, write: bool = False) -> str:
-        self.regs.add(index)
-        if write:
-            self.written.add(index)
-        return f"r{index}"
-
-    def zn(self) -> None:
-        self.flags.update(("z", "n"))
-        self.emit("fz = _v == 0")
-        self.emit("fn = (_v & 32768) != 0")
+def _plane(local: str) -> str:
+    """The state plane holding ``local`` for the rows ``idx``."""
+    if local[0] == "r":
+        return f"S.regs[idx, :, {local[1:]}]"
+    if local[0] == "f":
+        return f"S.{local}[idx]"
+    if local == "s_coreid":
+        return "S.coreid_row"
+    if local == "s_ncores":
+        return "S.ncores"
+    return f"S.{local[2:]}[idx]"
 
 
-def _emit_add(w: _VecWriter, rd: int, rs: int, b_expr: str,
-              carry: bool) -> None:
-    w.flags.update(("z", "n", "c", "v"))
-    w.emit(f"_a = {w.reg(rs)}")
-    w.emit(f"_b = {b_expr}")
-    w.emit("_t = _a + _b + fc" if carry else "_t = _a + _b")
-    w.emit("_v = _t & 65535")
-    w.emit(f"{w.reg(rd, write=True)} = _v")
-    w.emit("fz = _v == 0")
-    w.emit("fn = (_v & 32768) != 0")
-    w.emit("fc = _t > 65535")
-    w.emit("fv = (((_a ^ _b) & 32768) == 0) & (((_a ^ _v) & 32768) != 0)")
+def _gather(w: Writer) -> list[str]:
+    return [f"    {name} = {_plane(name)}" for name in sorted(w.touched)]
 
 
-def _emit_sub(w: _VecWriter, rd: int | None, rs_a: int, b_expr: str,
-              borrow: bool) -> None:
-    w.flags.update(("z", "n", "c", "v"))
-    w.emit(f"_a = {w.reg(rs_a)}")
-    w.emit(f"_b = {b_expr}")
-    w.emit("_t = _a - _b - 1 + fc" if borrow else "_t = _a - _b")
-    w.emit("_v = _t & 65535")
-    if rd is not None:
-        w.emit(f"{w.reg(rd, write=True)} = _v")
-    w.emit("fz = _v == 0")
-    w.emit("fn = (_v & 32768) != 0")
-    w.emit("fc = _t >= 0")
-    w.emit("fv = (((_a ^ _b) & 32768) != 0) & (((_a ^ _v) & 32768) != 0)")
+def _scatter(w: Writer) -> list[str]:
+    return [f"    {_plane(name)} = {name}" for name in sorted(w.written)]
 
 
-def _emit_logic(w: _VecWriter, rd: int, rs: int, rt: int, op: str) -> None:
-    w.emit(f"_v = {w.reg(rs)} {op} {w.reg(rt)}")
-    w.emit(f"{w.reg(rd, write=True)} = _v")
-    w.zn()
-
-
-def _emit_reg_shift(w: _VecWriter, ins, kind: ShiftOp) -> None:
-    # A zero amount leaves the value and C untouched, so every lane goes
-    # through np.where with the amount clamped to keep shifts in range.
-    w.flags.add("c")
-    w.emit(f"_a = {w.reg(ins.rs)}")
-    w.emit(f"_n = {w.reg(ins.rt)} & 15")
-    w.emit("_nz = _n != 0")
-    w.emit("_m = np.maximum(_n - 1, 0)")
-    if kind is ShiftOp.SLLI:
-        w.emit("_s = _a << _n")
-        w.emit("_v = np.where(_nz, _s & 65535, _a)")
-        w.emit("fc = np.where(_nz, (_s >> 16) & 1, fc)")
-    elif kind is ShiftOp.SRLI:
-        w.emit("_v = np.where(_nz, _a >> _n, _a)")
-        w.emit("fc = np.where(_nz, (_a >> _m) & 1, fc)")
-    else:
-        w.emit("_s = _a - ((_a & 32768) << 1)")
-        w.emit("_v = np.where(_nz, (_s >> _n) & 65535, _a)")
-        w.emit("fc = np.where(_nz, (_s >> _m) & 1, fc)")
-    w.emit(f"{w.reg(ins.rd, write=True)} = _v")
-    w.zn()
-
-
-def _emit_imm_shift(w: _VecWriter, ins) -> None:
-    kind = ShiftOp(ins.sub)
-    n = ins.imm & 0xF
-    rd = ins.rd
-    if n == 0:
-        # value = a, register unchanged, C untouched; only Z/N update.
-        w.emit(f"_v = {w.reg(rd)}")
-        w.zn()
-        return
-    w.flags.add("c")
-    if kind is ShiftOp.SLLI:
-        w.emit(f"_s = {w.reg(rd)} << {n}")
-        w.emit("_v = _s & 65535")
-        w.emit("fc = (_s >> 16) & 1")
-    elif kind is ShiftOp.SRLI:
-        w.emit(f"_a = {w.reg(rd)}")
-        w.emit(f"_v = _a >> {n}")
-        w.emit(f"fc = (_a >> {n - 1}) & 1")
-    else:
-        w.emit(f"_a = {w.reg(rd)}")
-        w.emit("_s = _a - ((_a & 32768) << 1)")
-        w.emit(f"_v = (_s >> {n}) & 65535")
-        w.emit(f"fc = (_s >> {n - 1}) & 1")
-    w.emit(f"{w.reg(rd, write=True)} = _v")
-    w.zn()
-
-
-def _emit_seq(w: _VecWriter, ins) -> bool:
-    """Inline one ``KIND_SEQ`` instruction; False if it cannot be fused."""
-    op = ins.op
-    if op is Opcode.ADD:
-        _emit_add(w, ins.rd, ins.rs, w.reg(ins.rt), carry=False)
-    elif op is Opcode.ADC:
-        _emit_add(w, ins.rd, ins.rs, w.reg(ins.rt), carry=True)
-    elif op is Opcode.ADDI:
-        _emit_add(w, ins.rd, ins.rs, str(ins.imm & MASK), carry=False)
-    elif op is Opcode.SUB:
-        _emit_sub(w, ins.rd, ins.rs, w.reg(ins.rt), borrow=False)
-    elif op is Opcode.SBC:
-        _emit_sub(w, ins.rd, ins.rs, w.reg(ins.rt), borrow=True)
-    elif op is Opcode.CMP:
-        _emit_sub(w, None, ins.rd, w.reg(ins.rs), borrow=False)
-    elif op is Opcode.CMPI:
-        _emit_sub(w, None, ins.rd, str(ins.imm & MASK), borrow=False)
-    elif op is Opcode.AND:
-        _emit_logic(w, ins.rd, ins.rs, ins.rt, "&")
-    elif op is Opcode.OR:
-        _emit_logic(w, ins.rd, ins.rs, ins.rt, "|")
-    elif op is Opcode.XOR:
-        _emit_logic(w, ins.rd, ins.rs, ins.rt, "^")
-    elif op is Opcode.MUL:
-        w.emit(f"_v = ({w.reg(ins.rs)} * {w.reg(ins.rt)}) & 65535")
-        w.emit(f"{w.reg(ins.rd, write=True)} = _v")
-        w.zn()
-    elif op is Opcode.MULH:
-        w.emit(f"_a = {w.reg(ins.rs)}")
-        w.emit(f"_b = {w.reg(ins.rt)}")
-        w.emit("_a = _a - ((_a & 32768) << 1)")
-        w.emit("_b = _b - ((_b & 32768) << 1)")
-        w.emit("_v = ((_a * _b) >> 16) & 65535")
-        w.emit(f"{w.reg(ins.rd, write=True)} = _v")
-        w.zn()
-    elif op is Opcode.SLL:
-        _emit_reg_shift(w, ins, ShiftOp.SLLI)
-    elif op is Opcode.SRL:
-        _emit_reg_shift(w, ins, ShiftOp.SRLI)
-    elif op is Opcode.SRA:
-        _emit_reg_shift(w, ins, ShiftOp.SRAI)
-    elif op is Opcode.SHI:
-        _emit_imm_shift(w, ins)
-    elif op is Opcode.MOV:
-        w.emit(f"{w.reg(ins.rd, write=True)} = {w.reg(ins.rs)}")
-    elif op is Opcode.LDI:
-        w.emit(f"{w.reg(ins.rd, write=True)} = {ins.imm & MASK}")
-    elif op is Opcode.LUI:
-        w.emit(f"{w.reg(ins.rd, write=True)} = {(ins.imm << 8) & MASK}")
-    elif op is Opcode.ORI:
-        w.emit(f"{w.reg(ins.rd, write=True)} = "
-               f"{w.reg(ins.rd)} | {ins.imm & 0xFF}")
-    elif op is Opcode.MFSR:
-        try:
-            sr = SpecialReg(ins.imm)
-        except ValueError:
-            return False    # raises mid-stream: must stay on step()
-        if sr is SpecialReg.COREID:
-            w.emit(f"{w.reg(ins.rd, write=True)} = S.coreid_row")
-        elif sr is SpecialReg.NCORES:
-            w.emit(f"{w.reg(ins.rd, write=True)} = S.ncores")
-        else:
-            w.emit(f"{w.reg(ins.rd, write=True)} = "
-                   f"S.{_SREG_ATTR[sr]}[idx]")
-    elif op is Opcode.MTSR:
-        try:
-            sr = SpecialReg(ins.imm)
-        except ValueError:
-            return False    # raises mid-stream: must stay on step()
-        if sr not in (SpecialReg.COREID, SpecialReg.NCORES):
-            # hard-wired registers ignore writes (still costs the cycle)
-            w.emit(f"S.{_SREG_ATTR[sr]}[idx] = {w.reg(ins.rs)} & 65535")
-    elif op is Opcode.SYS:
-        sub = ins.sub
-        if sub == SysOp.NOP:
-            pass                                    # costs the cycle only
-        elif sub == SysOp.EI:
-            w.emit("S.status[idx] = S.status[idx] | 1")
-        elif sub == SysOp.DI:
-            w.emit("S.status[idx] = S.status[idx] & 65534")
-        else:
-            return False    # HALT/SLEEP/RETI/bad sub are not KIND_SEQ
-    else:
-        return False
-    return True
-
-
-#: branch-taken expressions over the flag locals; elementwise-safe for
-#: arrays, NumPy booleans and constant-folded Python scalars alike.
-_BCC_EXPR = {
-    Cond.EQ: "(fz != 0)",
-    Cond.NE: "(fz == 0)",
-    Cond.LT: "((fn != 0) != (fv != 0))",
-    Cond.GE: "((fn != 0) == (fv != 0))",
-    Cond.LE: "((fz != 0) | ((fn != 0) != (fv != 0)))",
-    Cond.GT: "((fz == 0) & ((fn != 0) == (fv != 0)))",
-    Cond.LTU: "(fc == 0)",
-    Cond.GEU: "(fc != 0)",
-}
-
-_BCC_FLAGS = {
-    Cond.EQ: ("z",), Cond.NE: ("z",),
-    Cond.LT: ("n", "v"), Cond.GE: ("n", "v"),
-    Cond.LE: ("z", "n", "v"), Cond.GT: ("z", "n", "v"),
-    Cond.LTU: ("c",), Cond.GEU: ("c",),
-}
-
-
-def _emit_terminator(w: _VecWriter, ins, pc: int,
-                     defer_state: bool = False) -> int | None:
-    """Inline the block-ending transfer; returns the static target for
-    ``KIND_JUMP`` endings (JMP/CALL), else None (``_pcs`` is emitted).
-
-    ``defer_state`` routes state-plane writes (RETI's interrupt
-    re-enable) through :meth:`_VecWriter.defer` — required in
-    memory-fused blocks, whose body must stay mutation-free.
-    """
-    op = ins.op
-    if op is Opcode.BCC:
-        w.flags.update(_BCC_FLAGS[ins.cond])
-        w.emit(f"_pcs = np.where({_BCC_EXPR[ins.cond]}, "
-               f"{pc + ins.imm + 1}, {pc + 1})")
-        return None
-    if op is Opcode.JMP:
-        return ins.imm
-    if op is Opcode.CALL:
-        w.emit(f"{w.reg(7, write=True)} = {(pc + 1) & MASK}")
-        return ins.imm
-    if op is Opcode.JR:
-        w.emit(f"_pcs = {w.reg(ins.rs)}")
-        return None
-    if op is Opcode.CALLR:
-        # LR write happens *before* the target read, so CALLR R7 jumps
-        # to the new LR — the locals give the same order for free.
-        w.emit(f"{w.reg(7, write=True)} = {(pc + 1) & MASK}")
-        w.emit(f"_pcs = {w.reg(ins.rs)}")
-        return None
-    # SYS RETI
-    w.emit("_pcs = S.epc[idx]")
-    if defer_state:
-        w.defer("S.status[idx] = S.status[idx] | 1")
-    else:
-        w.emit("S.status[idx] = S.status[idx] | 1")
-    return None
-
-
-def _emit_mem(w: _VecWriter, j: int, info: tuple, fact: int,
-              env: MemEnv, masked: bool = False) -> tuple[int, int, int]:
+def _inline_mem(w: Writer, j: int, info: tuple, fact: int,
+                env: MemEnv, masked: bool = False) -> tuple[int, int, int]:
     """Inline fused memory op ``j``; returns its per-run D-Xbar counter
     deltas ``(dm_reads, dm_writes, dm_served)``.
 
@@ -444,6 +204,8 @@ def _emit_mem(w: _VecWriter, j: int, info: tuple, fact: int,
     """
     is_write, rs, imm, rd = info
     cores = env.num_cores
+    rows = "idx[_hrows]" if masked else "idx"
+    sub = "[_hrows]" if masked else ""
     # Normalize to a (runs, cores) matrix whatever the operand local is
     # — a gathered plane, a (runs, 1) broadcast-load result, or a
     # constant-folded Python int — so the pattern checks below see the
@@ -463,12 +225,8 @@ def _emit_mem(w: _VecWriter, j: int, info: tuple, fact: int,
         else:
             w.emit(f"_b{j} = _u{j} // {env.dm_bank_words}")
         w.emit(f"{w.reg(rd, write=True)} = S.dm[idx, _u{j}][:, None]")
-        if masked:
-            w.defer(f"S.prio[idx[_hrows], _b{j}[_hrows]] = "
-                    f"(S.prio[idx[_hrows], _b{j}[_hrows]] + 1) % {cores}")
-        else:
-            w.defer(f"S.prio[idx, _b{j}] = "
-                    f"(S.prio[idx, _b{j}] + 1) % {cores}")
+        w.defer(f"S.prio[{rows}, _b{j}{sub}] = "
+                f"(S.prio[{rows}, _b{j}{sub}] + 1) % {cores}")
         return 1, 0, cores
     # Private-bank pattern: every core must win its own bank.
     if env.dm_interleaved:
@@ -485,84 +243,19 @@ def _emit_mem(w: _VecWriter, j: int, info: tuple, fact: int,
             # (runs, cores) matrix first
             w.emit(f"_s{j} = np.broadcast_to(np.asarray("
                    f"{w.reg(rd)} & 65535), (len(idx), {cores}))")
-            w.defer(f"S.dm[idx[_hrows][:, None], _a{j}[_hrows]] = "
-                    f"_s{j}[_hrows]")
         else:
             w.emit(f"_s{j} = {w.reg(rd)} & 65535")
-            w.defer(f"S.dm[idx[:, None], _a{j}] = _s{j}")
+        w.defer(f"S.dm[{rows}[:, None], _a{j}{sub}] = _s{j}{sub}")
     else:
         w.emit(f"{w.reg(rd, write=True)} = S.dm[idx[:, None], _a{j}]")
-    if masked:
-        w.defer(f"S.prio[idx[_hrows][:, None], _b{j}[_hrows]] = "
-                f"((S.coreid_row + 1) % {cores})[None, :]")
-    else:
-        w.defer(f"S.prio[idx[:, None], _b{j}] = "
-                f"((S.coreid_row + 1) % {cores})[None, :]")
+    w.defer(f"S.prio[{rows}[:, None], _b{j}{sub}] = "
+            f"((S.coreid_row + 1) % {cores})[None, :]")
     if is_write:
         return 0, cores, cores
     return cores, 0, cores
 
 
-def _render(w: _VecWriter, end_kind: int) -> str:
-    lines = ["def run(S, idx):"]
-    body: list[str] = []
-    for index in sorted(w.regs):
-        body.append(f"    r{index} = S.regs[idx, :, {index}]")
-    for flag in sorted(w.flags):
-        body.append(f"    f{flag} = S.f{flag}[idx]")
-    body.extend(w.body)
-    body.extend(w.deferred)
-    for index in sorted(w.written):
-        body.append(f"    S.regs[idx, :, {index}] = r{index}")
-    for flag in sorted(w.flags):
-        body.append(f"    S.f{flag}[idx] = f{flag}")
-    if end_kind == KIND_DIVERGE:
-        body.append("    return _pcs")
-    if not body:
-        body.append("    pass")
-    return "\n".join(lines + body) + "\n"
-
-
-def _vec_hammock_plan(h, decoded: list,
-                      env: MemEnv | None) -> list | None:
-    """Whether hammock ``h`` vectorizes predicated; None when it can't.
-
-    Mirrors the scalar planner in :mod:`repro.cpu.blocks`: every arm
-    instruction must transcribe to mutation-free NumPy (special-register
-    and interrupt-state writes hit the ``S`` planes directly, so they
-    cannot be masked), memory ops need a servable fact, and a load may
-    not follow a store (its scatter is deferred past the load's gather).
-    """
-    plan: list = []
-    has_store = False
-    for pc in range(h.arm_start, h.arm_start + h.arm_len):
-        rec = decoded[pc]
-        kind = rec[0]
-        ins = rec[2]
-        if kind == KIND_SEQ:
-            if _writes_core_state(ins):
-                return None
-            if not _emit_seq(_VecWriter(), ins):
-                return None
-            plan.append(("seq", ins))
-            continue
-        if kind == KIND_MEM and env is not None:
-            fact = env.facts.get(pc)
-            is_write = rec[1][0]
-            if (fact is None
-                    or (has_store and not is_write)
-                    or not _servable(fact, is_write, env)):
-                return None
-            if is_write:
-                has_store = True
-            plan.append(("mem", rec[1], fact))
-            continue
-        return None
-    return plan
-
-
-def _compile_hammock(h, decoded: list, env: MemEnv | None,
-                     plan: list) -> VecBlock:
+def _compile_hammock(h, decoded: list, env: MemEnv | None) -> VecBlock:
     """Compile hammock ``h`` into a predicated :class:`VecBlock`.
 
     The generated ``run`` evaluates the branch predicate over the flag
@@ -576,66 +269,50 @@ def _compile_hammock(h, decoded: list, env: MemEnv | None,
     cores would have spent on the path they took.
     """
     head_ins = decoded[h.head][2]
-    cond = head_ins.cond
     taken_pc = h.head + head_ins.imm + 1
     fall_pc = h.head + 1
-    aw = _VecWriter()
+    aw = Writer(VEC)
+    taken = aw.taken(head_ins.cond)
     n_mem = 0
     mem_reads = mem_writes = mem_served = 0
-    for step in plan:
-        if step[0] == "seq":
-            _emit_seq(aw, step[1])
-        else:
-            reads, writes, served = _emit_mem(
-                aw, n_mem, step[1], step[2], env, masked=True)
-            mem_reads += reads
-            mem_writes += writes
-            mem_served += served
-            n_mem += 1
-    aw.flags.update(_BCC_FLAGS[cond])
+    for pc in range(h.arm_start, h.arm_start + h.arm_len):
+        kind, info, ins = decoded[pc]
+        if kind == KIND_SEQ:
+            aw.inline(ins, pc)
+            continue
+        reads, writes, served = _inline_mem(aw, n_mem, info,
+                                            env.facts[pc], env, masked=True)
+        mem_reads += reads
+        mem_writes += writes
+        mem_served += served
+        n_mem += 1
     cost_arm = h.cost_taken if h.arm_on_taken else h.cost_not_taken
     cost_skip = h.cost_not_taken if h.arm_on_taken else h.cost_taken
+    written = sorted(aw.written)
     # The predicate/mask locals are spelled ``_h*`` — a namespace the
-    # seq/mem emitters never touch (they use ``_a``/``_b``/``_t``/...).
-    lines = ["def run(S, idx):"]
-    for index in sorted(aw.regs):
-        lines.append(f"    r{index} = S.regs[idx, :, {index}]")
-    for flag in sorted(aw.flags):
-        lines.append(f"    f{flag} = S.f{flag}[idx]")
-    lines.append(f"    _ht = {_BCC_EXPR[cond]}")
-    lines.append("    if not (_ht == _ht[:, :1]).all():")
-    lines.append(f"        return np.where(_ht, {taken_pc}, {fall_pc})")
-    lines.append(f"    _hp = {'' if h.arm_on_taken else '~'}_ht[:, 0]")
-    lines.append("    _hm = _hp[:, None]")
-    lines.append("    _hrows = np.flatnonzero(_hp)")
-    for index in sorted(aw.written):
-        lines.append(f"    _o_r{index} = r{index}")
-    for flag in sorted(aw.flags):
-        lines.append(f"    _o_f{flag} = f{flag}")
-    lines.extend(aw.body)
-    lines.extend(aw.deferred)
-    for index in sorted(aw.written):
-        lines.append(f"    r{index} = np.where(_hm, r{index}, _o_r{index})")
-    for flag in sorted(aw.flags):
-        lines.append(f"    f{flag} = np.where(_hm, f{flag}, _o_f{flag})")
-    for index in sorted(aw.written):
-        lines.append(f"    S.regs[idx, :, {index}] = r{index}")
-    for flag in sorted(aw.flags):
-        lines.append(f"    S.f{flag}[idx] = f{flag}")
-    lines.append(f"    _hc = np.where(_hp, {cost_arm}, {cost_skip})")
-    lines.append("    S.d_cycles[idx] += _hc")
-    lines.append("    S.d_pred_cycles[idx] += _hc")
-    lines.append("    S.d_blocks[idx] += 1")
-    lines.append("    S.d_preds[idx] += 1")
-    if mem_reads:
-        lines.append(f"    S.d_dm_reads[idx] += "
-                     f"np.where(_hp, {mem_reads}, 0)")
-    if mem_writes:
-        lines.append(f"    S.d_dm_writes[idx] += "
-                     f"np.where(_hp, {mem_writes}, 0)")
-    if mem_served:
-        lines.append(f"    S.d_dm_served[idx] += "
-                     f"np.where(_hp, {mem_served}, 0)")
+    # rendered statements and memory ops never touch.
+    lines = ["def run(S, idx):", *_gather(aw),
+             f"    _ht = {taken}",
+             "    if not (_ht == _ht[:, :1]).all():",
+             f"        return np.where(_ht, {taken_pc}, {fall_pc})",
+             f"    _hp = {'' if h.arm_on_taken else '~'}_ht[:, 0]",
+             "    _hm = _hp[:, None]",
+             "    _hrows = np.flatnonzero(_hp)",
+             *[f"    _o_{name} = {name}" for name in written],
+             *aw.body, *aw.deferred,
+             *[f"    {name} = np.where(_hm, {name}, _o_{name})"
+               for name in written],
+             *_scatter(aw),
+             f"    _hc = np.where(_hp, {cost_arm}, {cost_skip})",
+             "    S.d_cycles[idx] += _hc",
+             "    S.d_pred_cycles[idx] += _hc",
+             "    S.d_blocks[idx] += 1",
+             "    S.d_preds[idx] += 1"]
+    for plane, count in (("reads", mem_reads), ("writes", mem_writes),
+                         ("served", mem_served)):
+        if count:
+            lines.append(f"    S.d_dm_{plane}[idx] += "
+                         f"np.where(_hp, {count}, 0)")
     lines.append("    return None")
     source = "\n".join(lines) + "\n"
     namespace: dict = {"np": np, "MemGuard": MemGuardError}
@@ -655,8 +332,7 @@ def compile_block(decoded: list, start: int,
     except that a lone terminator compiles too and :data:`MIN_BLOCK`
     is 1 — with hundreds of lanes per call even a singleton pays.
     Returns ``None`` when the instruction at ``start`` cannot be
-    vectorized (unfusable memory/sync/stop boundary, invalid
-    encodings).
+    vectorized (unfusable memory/sync/stop boundary).
 
     When ``hammocks`` carries the image's if-conversion facts
     (:func:`repro.compiler.ifconv.find_hammocks`), a block starting at a
@@ -670,11 +346,9 @@ def compile_block(decoded: list, start: int,
         return None
     if hammocks:
         h = hammocks.get(start)
-        if h is not None:
-            plan = _vec_hammock_plan(h, decoded, env)
-            if plan is not None:
-                return _compile_hammock(h, decoded, env, plan)
-    w = _VecWriter()
+        if h is not None and arm_fits(h, decoded, env):
+            return _compile_hammock(h, decoded, env)
+    w = Writer(VEC)
     length = 0
     end_kind = KIND_SEQ
     target: int | None = None
@@ -685,53 +359,44 @@ def compile_block(decoded: list, start: int,
     pc = start
     while pc < im_len and length < MAX_BLOCK:
         rec = decoded[pc]
-        kind = rec[0]
-        ins = rec[2]
-        if kind == KIND_SEQ:
-            writes_core = _writes_core_state(ins)
-            if writes_core and n_mem:
-                # Core-state writes cannot follow fused memory ops —
-                # the body must stay pure up to the last guard.
+        kind, info, ins = rec
+        if kind == KIND_SEQ or kind == KIND_MEM:
+            if not joinable(rec, pc, env, mem=bool(n_mem), store=has_store,
+                            core_writes=core_writes):
                 break
-            if not _emit_seq(w, ins):
-                break
-            if writes_core:
-                core_writes = True
-            length += 1
-            pc += 1
-            continue
-        if kind == KIND_MEM and env is not None:
-            fact = env.facts.get(pc)
-            if fact is None:
-                break
-            is_write = rec[1][0]
-            if (core_writes
-                    or (has_store and not is_write)
-                    or not _servable(fact, is_write, env)):
-                break
-            reads, writes, served = _emit_mem(w, n_mem, rec[1], fact, env)
-            mem_reads += reads
-            mem_writes += writes
-            mem_served += served
-            n_mem += 1
-            if is_write:
-                has_store = True
+            if kind == KIND_SEQ:
+                w.inline(ins, pc)
+                core_writes = core_writes or writes_core(ins)
+            else:
+                reads, writes, served = _inline_mem(w, n_mem, info,
+                                                    env.facts[pc], env)
+                mem_reads += reads
+                mem_writes += writes
+                mem_served += served
+                n_mem += 1
+                has_store = has_store or info[0]
             length += 1
             pc += 1
             continue
         if kind in (KIND_JUMP, KIND_DIVERGE):
             if (kind == KIND_DIVERGE and hammocks and length
                     and pc in hammocks
-                    and _vec_hammock_plan(hammocks[pc], decoded, env)
-                    is not None):
+                    and arm_fits(hammocks[pc], decoded, env)):
                 break   # stop before the head: it compiles predicated
-            target = _emit_terminator(w, ins, pc, defer_state=bool(n_mem))
+            next_pc = w.inline(ins, pc)
+            if kind == KIND_JUMP:
+                target = literal_eval(next_pc)
+            else:
+                w.emit(f"_pcs = {next_pc}")
             length += 1
             end_kind = kind
         break
     if length < MIN_BLOCK:
         return None
-    source = _render(w, end_kind)
+    body = _gather(w) + w.body + w.deferred + _scatter(w)
+    if end_kind == KIND_DIVERGE:
+        body.append("    return _pcs")
+    source = "\n".join(["def run(S, idx):"] + (body or ["    pass"])) + "\n"
     namespace: dict = {"np": np, "MemGuard": MemGuardError}
     exec(compile(source, f"<vec@{start}+{length}>", "exec"), namespace)
     mem = (mem_reads, mem_writes, mem_served) if n_mem else ()
@@ -739,64 +404,21 @@ def compile_block(decoded: list, start: int,
                     mem)
 
 
-class VecTable:
+class VecTable(BlockTable):
     """Lazily-compiled vectorized blocks for one program image."""
 
-    __slots__ = ("digest", "blocks", "_decoded", "_env", "_hammocks")
+    __slots__ = ()
 
-    def __init__(self, decoded: list, digest: str | None = None,
-                 env: MemEnv | None = None,
-                 hammocks: dict | None = None):
-        self.digest = digest
-        self._decoded = decoded
-        self._env = env
-        self._hammocks = hammocks
-        #: start address -> VecBlock | None, filled lazily
-        self.blocks: dict[int, VecBlock | None] = {}
-
-    def at(self, start: int) -> VecBlock | None:
-        try:
-            return self.blocks[start]
-        except KeyError:
-            block = compile_block(self._decoded, start, self._env,
-                                  self._hammocks)
-            self.blocks[start] = block
-            return block
-
-
-#: cache key -> VecTable, LRU-bounded (mirrors repro.cpu.blocks).
-_TABLE_LIMIT = 64
-_tables: "OrderedDict[tuple, VecTable]" = OrderedDict()
+    compile = staticmethod(compile_block)
+    # defined on this class too, so each table class's ``at`` can be
+    # wrapped on its own (the per-layer benchmark tracer does)
+    at = BlockTable.at
 
 
 def table_for(program, config=None) -> VecTable:
-    """The shared :class:`VecTable` for ``program``'s built image.
-
-    Mirrors :func:`repro.cpu.blocks.table_for`: fact-free images share
-    one table per digest; fact-carrying images compiled with a config
-    are additionally keyed on the memory geometry their fused blocks
-    were proven against.
-    """
-    env = None
-    facts = getattr(program, "mem_facts", None)
-    if config is not None and facts:
-        env = MemEnv.from_config(facts, config)
-    hammocks = getattr(program, "hammocks", None)
-    try:
-        digest = program.digest()
-    except Exception:
-        return VecTable(program.predecoded(), None, env, hammocks)
-    # the digest covers the hammock facts, so the key needs no extension
-    key = (digest,) if env is None else (digest,) + tuple(env[1:])
-    table = _tables.get(key)
-    if table is None:
-        if len(_tables) >= _TABLE_LIMIT:
-            _tables.popitem(last=False)
-        table = _tables[key] = VecTable(program.predecoded(), digest, env,
-                                        hammocks)
-    else:
-        _tables.move_to_end(key)
-    return table
+    """The shared :class:`VecTable` for ``program``'s built image (see
+    :func:`repro.cpu.blocks.cached_table`, whose cache it shares)."""
+    return cached_table(VecTable, program, config)
 
 
 # ---------------------------------------------------------------------------
@@ -1096,15 +718,14 @@ class _FamilyRunner:
                     g.pc = pc + 1
                     continue
                 return          # peeled or split inside _mem
-            if kind == KIND_STOP:
-                self._peel(g, None, "stop")
-            elif kind == KIND_SYNC:
+            if kind == KIND_SYNC:
                 if self._sync(g, rec[2], base):
                     g.pc = pc + 1
                     continue
                 return          # peeled, split, or re-enqueued
-            else:
-                self._peel(g, None, "deopt")    # unfusable encoding
+            # KIND_STOP: HALT/SLEEP, or an encoding outside the table
+            # (every other plain instruction compiles a block)
+            self._peel(g, None, "stop")
             return
 
     def _diverge(self, g: _Group, pcs) -> None:

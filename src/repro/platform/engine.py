@@ -536,8 +536,10 @@ class FastEngine:
                 fused_blocks += 1
                 fused_cycles += length
                 if banks is not None:
-                    banks.add(pc // bank_words)
-                    banks.add((pc + length - 1) // bank_words)
+                    # every fetch of the block rotates its bank: cover
+                    # the whole span, which may cross several banks
+                    banks.update(range(pc // bank_words,
+                                       (pc + blk[1] - 1) // bank_words + 1))
                 if end_kind == KIND_SEQ:
                     pc += blk[1]
                     continue
@@ -598,83 +600,13 @@ class FastEngine:
                 # window) ends the burst cleanly; the next `_advance`
                 # iteration routes it through `_lockstep_sync` /
                 # ``step()`` untouched.
-                sync = machine.synchronizer
-                ins = rec[2]
-                if sync is None or cycles + 2 > horizon:
+                if self._checkpoint_rmw(running, pc, rec[2], cycles,
+                                        horizon, inline=True) is None:
                     break
-                address = checkpoint_address(running[0], ins)
-                ok = True
-                if n > 1:
-                    for core in running:
-                        if checkpoint_address(core, ins) != address:
-                            ok = False
-                            break
-                if (not ok or address >= len(words)
-                        or address in dxbar.locked_addresses):
-                    break
-                is_checkout = ins.op is Opcode.SDEC
-                flags, count = unpack_checkpoint(words[address])
-                count_after = count + (-n if is_checkout else n)
-                if count_after < 0 or count_after > ncores:
-                    break         # protocol violation: step() raises
-                released = is_checkout and count_after == 0
-                if is_checkout and not released:
-                    break         # the cores sleep: burst must end
-                woken: tuple = ()
-                if released:
-                    woken = tuple(cid for cid in range(ncores)
-                                  if flags & (1 << cid))
-                    sleeper = False
-                    cores_all = machine.cores
-                    for cid in woken:
-                        if cores_all[cid].mode is CoreMode.SLEEPING:
-                            sleeper = True
-                            break
-                    if sleeper:
-                        break     # wake latching: burst must end
-                # -- cycle T: read phase -------------------------------
-                checkpoint = sync.stats.get(address)
-                if checkpoint is None:
-                    checkpoint = sync.stats[address] = CheckpointStats()
-                trace.dm_bank_reads += 1
-                trace.sync_rmw_ops += 1
-                checkpoint.rmws += 1
-                # -- cycle T+1: write phase, retire --------------------
-                trace.dm_bank_writes += 1
-                coreids = tuple(core.coreid for core in running)
-                if is_checkout:
-                    checkins: tuple = ()
-                    checkouts = coreids
-                    trace.sync_checkouts += n
-                    checkpoint.checkouts += n
-                else:
-                    for cid in coreids:
-                        flags |= 1 << cid
-                    checkins = coreids
-                    checkouts = ()
-                    trace.sync_checkins += n
-                    checkpoint.checkins += n
-                if count_after > checkpoint.max_counter:
-                    checkpoint.max_counter = count_after
-                if released:
-                    words[address] = 0
-                    trace.sync_wakeups += 1
-                    checkpoint.wakeups += 1
-                else:
-                    words[address] = pack_checkpoint(flags, count_after)
                 cycles += 2
                 n_syncs += 1
                 if banks is not None:
                     banks.add(pc // bank_words)
-                for core in running:
-                    core.pc = pc + 1
-                if sync.listeners:
-                    trace.cycles = cycles  # listeners see the real clock
-                    completion = SyncCompletion(address, checkins,
-                                                checkouts, woken,
-                                                released, count_after)
-                    for listener in sync.listeners:
-                        listener(cycles, completion)
                 pc += 1
             else:
                 deopt = True          # mode change / unclassified
@@ -767,6 +699,99 @@ class FastEngine:
                     return False
         return True
 
+    def _checkpoint_rmw(self, running: list, pc: int, ins, cycles: int,
+                        horizon: float, *, inline: bool):
+        """Replay the checkpoint-word side of a merged lockstep RMW.
+
+        Shared by :meth:`_lockstep_sync` and the burst's inline replay:
+        the guards, the flag/counter arithmetic and word write, the
+        per-checkpoint and trace credits of both cycles, the PC advance
+        and the listener call.  Fetch accounting, idle-core credits and
+        mode changes stay with the callers.
+
+        :param cycles: the clock at cycle T (the RMW ends at ``cycles +
+            2``, which must not pass ``horizon``).
+        :param inline: also refuse the mode-changing cases a burst
+            cannot absorb — a checkout that puts the cores to sleep, a
+            release that must wake sleeping cores.
+        :returns: ``(is_checkout, released, woken)`` — ``woken`` the
+            flagged cores a release wakes — or None, with nothing
+            mutated, when ``step()`` must handle the instruction: no
+            synchronizer, an event inside the window, a split checkpoint
+            address (per-core ``Rsync``), a locked or out-of-range word,
+            or a protocol violation about to raise.
+        """
+        machine = self._machine
+        sync = machine.synchronizer
+        if sync is None or cycles + 2 > horizon:
+            return None
+        address = checkpoint_address(running[0], ins)
+        for core in running:
+            if checkpoint_address(core, ins) != address:
+                return None
+        words = machine.dm.words
+        if (address >= len(words)
+                or address in machine.dxbar.locked_addresses):
+            return None
+        n = len(running)
+        ncores = machine.config.num_cores
+        is_checkout = ins.op is Opcode.SDEC
+        flags, count = unpack_checkpoint(words[address])
+        count_after = count + (-n if is_checkout else n)
+        if count_after < 0 or count_after > ncores:
+            return None
+        released = is_checkout and count_after == 0
+        woken: tuple = ()
+        if released:
+            woken = tuple(cid for cid in range(ncores)
+                          if flags & (1 << cid))
+        if inline and is_checkout:
+            if not released:
+                return None               # the cores sleep
+            cores = machine.cores
+            for cid in woken:
+                if cores[cid].mode is CoreMode.SLEEPING:
+                    return None           # wake latching
+
+        # cycle T: read phase; cycle T+1: write phase and retire
+        trace = machine.trace
+        checkpoint = sync.stats.get(address)
+        if checkpoint is None:
+            checkpoint = sync.stats[address] = CheckpointStats()
+        trace.dm_bank_reads += 1
+        trace.dm_bank_writes += 1
+        trace.sync_rmw_ops += 1
+        checkpoint.rmws += 1
+        if is_checkout:
+            trace.sync_checkouts += n
+            checkpoint.checkouts += n
+        else:
+            for core in running:
+                flags |= 1 << core.coreid
+            trace.sync_checkins += n
+            checkpoint.checkins += n
+        if count_after > checkpoint.max_counter:
+            checkpoint.max_counter = count_after
+        if released:
+            # barrier release: reinitialize the word
+            words[address] = 0
+            trace.sync_wakeups += 1
+            checkpoint.wakeups += 1
+        else:
+            words[address] = pack_checkpoint(flags, count_after)
+        for core in running:
+            core.pc = pc + 1
+        if sync.listeners:
+            coreids = tuple(core.coreid for core in running)
+            completion = SyncCompletion(
+                address, () if is_checkout else coreids,
+                coreids if is_checkout else (), woken, released,
+                count_after)
+            trace.cycles = cycles + 2     # listeners see the real clock
+            for listener in sync.listeners:
+                listener(cycles + 2, completion)
+        return is_checkout, released, woken
+
     def _lockstep_sync(self, running: list, pc: int, ins,
                        limit: int) -> bool:
         """Replay one merged lockstep SINC/SDEC read-modify-write.
@@ -778,41 +803,24 @@ class FastEngine:
         retire / wake latching in cycle T+1.  Neither cycle touches
         anything but the checkpoint word, so both are replayed here in
         one batched update — in barrier-dense kernels these two-step
-        windows are most of what ``step()`` is left with.
-
-        Anything unusual defers to the reference untouched: a split
-        checkpoint address (per-core ``Rsync``), a locked or
-        out-of-range word, a protocol violation about to raise, a
-        timer/IRQ event inside the window, or a missing synchronizer.
+        windows are most of what ``step()`` is left with.  Anything
+        unusual defers to the reference untouched (see
+        :meth:`_checkpoint_rmw`).
 
         :returns: True if the two cycles were consumed.
         """
         machine = self._machine
-        sync = machine.synchronizer
-        if sync is None:
-            return False          # step() raises ExecutionError
         trace = machine.trace
         cycles = trace.cycles
-        if cycles + 2 > min(limit, self._next_event_cycle() - 1):
-            return False          # an event lands inside the window
-        address = checkpoint_address(running[0], ins)
-        for core in running:
-            if checkpoint_address(core, ins) != address:
-                return False      # split addresses: step() merges groups
-        if address in machine.dxbar.locked_addresses:
-            return False          # refused request: step() replays retry
-        words = machine.dm.words
-        if address >= len(words):
-            return False          # step() raises MemoryError_
+        done = self._checkpoint_rmw(
+            running, pc, ins, cycles,
+            min(limit, self._next_event_cycle() - 1), inline=False)
+        if done is None:
+            return False
+        is_checkout, released, woken = done
         n = len(running)
         config = machine.config
-        is_checkout = ins.op is Opcode.SDEC
-        flags, count = unpack_checkpoint(words[address])
-        count_after = count + (-n if is_checkout else n)
-        if count_after < 0 or count_after > config.num_cores:
-            return False          # protocol violation: step() raises
-
-        # -- cycle T: broadcast fetch + synchronizer read phase --------
+        # cycle T's broadcast fetch
         if n == 1 and not config.im_broadcast:
             # single requester through per-bank arbitration: it wins its
             # bank unconditionally, rotating the bank's priority
@@ -822,43 +830,6 @@ class FastEngine:
         trace.im_bank_accesses += 1
         trace.im_fetches_served += n
         trace.note_lockstep(n)
-        checkpoint = sync.stats.get(address)
-        if checkpoint is None:
-            checkpoint = sync.stats[address] = CheckpointStats()
-        trace.dm_bank_reads += 1
-        trace.sync_rmw_ops += 1
-        checkpoint.rmws += 1
-
-        # -- cycle T+1: write phase, retire, wake latching -------------
-        trace.dm_bank_writes += 1
-        coreids = tuple(core.coreid for core in running)
-        if is_checkout:
-            checkins: tuple = ()
-            checkouts = coreids
-            trace.sync_checkouts += n
-            checkpoint.checkouts += n
-        else:
-            for cid in coreids:
-                flags |= 1 << cid
-            checkins = coreids
-            checkouts = ()
-            trace.sync_checkins += n
-            checkpoint.checkins += n
-        if count_after > checkpoint.max_counter:
-            checkpoint.max_counter = count_after
-        woken: tuple = ()
-        released = False
-        if count_after == 0 and is_checkout:
-            # barrier release: wake every flagged core (latched to the
-            # start of cycle T+2) and reinitialize the word
-            woken = tuple(cid for cid in range(config.num_cores)
-                          if flags & (1 << cid))
-            words[address] = 0
-            trace.sync_wakeups += 1
-            checkpoint.wakeups += 1
-            released = True
-        else:
-            words[address] = pack_checkpoint(flags, count_after)
 
         # Batched accounting of both cycles.  The idle census runs
         # before any mode change: a non-released checkout core is
@@ -871,7 +842,6 @@ class FastEngine:
         retired = trace.retired_per_core
         for core in running:
             retired[core.coreid] += 1
-            core.pc = pc + 1
         if halted:
             trace.core_halted_cycles += 2 * halted
         if sleeping:
@@ -883,17 +853,11 @@ class FastEngine:
             for core in running:
                 core.mode = CoreMode.SLEEPING
                 barrier_sleeper[core.coreid] = True
-        if woken:
-            cores = machine.cores
-            wake_next = machine._wake_next
-            for cid in woken:
-                if cores[cid].mode is CoreMode.SLEEPING:
-                    wake_next.add(cid)
-        if sync.listeners:
-            completion = SyncCompletion(address, checkins, checkouts,
-                                        woken, released, count_after)
-            for listener in sync.listeners:
-                listener(trace.cycles, completion)
+        # wake every flagged sleeper, latched to the start of cycle T+2
+        cores = machine.cores
+        for cid in woken:
+            if cores[cid].mode is CoreMode.SLEEPING:
+                machine._wake_next.add(cid)
         stats = self.stats
         stats.lockstep_cycles += 2
         stats.sync_fused_rmws += 1

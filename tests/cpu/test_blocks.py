@@ -25,7 +25,9 @@ from repro.cpu.blocks import (
 from repro.cpu.predecode import KIND_DIVERGE, KIND_JUMP, KIND_SEQ, predecode
 from repro.isa import Instruction, Opcode
 from repro.isa.assembler import assemble
-from repro.isa.spec import Cond, ShiftOp, SpecialReg, SysOp
+from repro.isa.spec import Cond, SpecialReg, SysOp
+
+from .. import oracles
 
 MASK = 0xFFFF
 
@@ -40,7 +42,8 @@ def fresh_core(regs, flags=(0, 0, 0, 0), pc=0):
 
 def core_state(core):
     return (tuple(core.regs), core.pc, core.flag_z, core.flag_n,
-            core.flag_c, core.flag_v, core.epc, core.ivec, core.status)
+            core.flag_c, core.flag_v, core.epc, core.ivec, core.status,
+            core.rsync)
 
 
 def run_both(instructions, regs, flags=(0, 0, 0, 0)):
@@ -60,49 +63,15 @@ def run_both(instructions, regs, flags=(0, 0, 0, 0)):
 
 
 # ---------------------------------------------------------------------------
-# Randomized codegen exactness (every fusable KIND_SEQ opcode)
+# Randomized codegen exactness (every fusable KIND_SEQ form)
 # ---------------------------------------------------------------------------
 
-@st.composite
-def fusable_instruction(draw):
-    reg = st.integers(0, 7)
-    kind = draw(st.integers(0, 11))
-    if kind <= 3:
-        op = draw(st.sampled_from([
-            Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
-            Opcode.ADC, Opcode.SBC, Opcode.MUL, Opcode.MULH]))
-        return Instruction(op, rd=draw(reg), rs=draw(reg), rt=draw(reg))
-    if kind == 4:
-        op = draw(st.sampled_from([Opcode.ADDI, Opcode.CMPI]))
-        return Instruction(op, rd=draw(reg), rs=draw(reg),
-                           imm=draw(st.integers(-16, 15)))
-    if kind == 5:
-        return Instruction(Opcode.CMP, rd=draw(reg), rs=draw(reg))
-    if kind == 6:
-        return Instruction(Opcode.LDI, rd=draw(reg),
-                           imm=draw(st.integers(-128, 127)))
-    if kind == 7:
-        return Instruction(draw(st.sampled_from([Opcode.LUI, Opcode.ORI])),
-                           rd=draw(reg), imm=draw(st.integers(0, 255)))
-    if kind == 8:
-        return Instruction(Opcode.MOV, rd=draw(reg), rs=draw(reg))
-    if kind == 9:
-        op = draw(st.sampled_from([Opcode.SLL, Opcode.SRL, Opcode.SRA]))
-        return Instruction(op, rd=draw(reg), rs=draw(reg), rt=draw(reg))
-    if kind == 10:
-        return Instruction(Opcode.SHI, rd=draw(reg),
-                           sub=draw(st.sampled_from(list(ShiftOp))),
-                           imm=draw(st.integers(0, 15)))
-    return Instruction(Opcode.SYS,
-                       sub=draw(st.sampled_from([SysOp.NOP, SysOp.EI,
-                                                 SysOp.DI])))
-
-
-@given(st.lists(fusable_instruction(), min_size=2, max_size=30),
+@given(st.lists(oracles.instructions(kinds=(KIND_SEQ,)),
+                min_size=2, max_size=30),
        st.lists(st.integers(0, MASK), min_size=8, max_size=8),
        st.tuples(*[st.integers(0, 1)] * 4))
-def test_fused_matches_reference_executor(instructions, regs, flags):
-    fused, ref = run_both(instructions, regs, flags)
+def test_fused_matches_reference_executor(program, regs, flags):
+    fused, ref = run_both(program, regs, flags)
     assert fused == ref
 
 

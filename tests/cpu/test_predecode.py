@@ -1,12 +1,13 @@
 """Differential check of predecoded closures against ``execute_plain``.
 
-Every plain opcode's compiled closure must apply exactly the same
+Every plain instruction's compiled closure must apply exactly the same
 register, flag, PC, mode and special-register effects as the reference
-executor, from any architectural state.  Classification (the ``kind``
-tags the fast engine dispatches on) and error behaviour are pinned too.
+executor, from any architectural state (instructions drawn from every
+form of the semantics table).  Classification (the ``kind`` tags the
+fast engine dispatches on) and error behaviour are pinned too.
 """
 
-from hypothesis import given, strategies as st
+from hypothesis import given
 import pytest
 
 from repro.cpu import CoreState, compile_instruction, execute_plain
@@ -21,98 +22,15 @@ from repro.cpu.predecode import (
     predecode,
 )
 from repro.isa import Instruction, Opcode
-from repro.isa.spec import Cond, ShiftOp, SpecialReg, SysOp
+from repro.isa.spec import SysOp
 
-MASK = 0xFFFF
+from ..oracles import clone, core_states, instructions, snapshot
 
-R3_OPS = [Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
-          Opcode.ADC, Opcode.SBC, Opcode.MUL, Opcode.MULH,
-          Opcode.SLL, Opcode.SRL, Opcode.SRA]
-
-PLAIN_SYS = [SysOp.NOP, SysOp.EI, SysOp.DI, SysOp.RETI,
-             SysOp.HALT, SysOp.SLEEP]
+#: every form execute_plain accepts (all but LD/ST and SINC/SDEC)
+PLAIN_KINDS = (KIND_SEQ, KIND_JUMP, KIND_DIVERGE, KIND_STOP)
 
 
-@st.composite
-def plain_instruction(draw):
-    reg = st.integers(0, 7)
-    kind = draw(st.integers(0, 12))
-    if kind <= 3:
-        return Instruction(draw(st.sampled_from(R3_OPS)),
-                           rd=draw(reg), rs=draw(reg), rt=draw(reg))
-    if kind == 4:
-        return Instruction(Opcode.ADDI, rd=draw(reg), rs=draw(reg),
-                           imm=draw(st.integers(-16, 15)))
-    if kind == 5:
-        op = draw(st.sampled_from([Opcode.LDI, Opcode.LUI, Opcode.ORI,
-                                   Opcode.CMPI]))
-        lo = -128 if op in (Opcode.LDI, Opcode.CMPI) else 0
-        return Instruction(op, rd=draw(reg), imm=draw(st.integers(lo, 255)))
-    if kind == 6:
-        return Instruction(draw(st.sampled_from([Opcode.MOV, Opcode.CMP])),
-                           rd=draw(reg), rs=draw(reg))
-    if kind == 7:
-        return Instruction(Opcode.SHI, rd=draw(reg),
-                           sub=draw(st.sampled_from(list(ShiftOp))),
-                           imm=draw(st.integers(0, 15)))
-    if kind == 8:
-        return Instruction(Opcode.MFSR, rd=draw(reg),
-                           imm=draw(st.sampled_from(
-                               [int(sr) for sr in SpecialReg])))
-    if kind == 9:
-        return Instruction(Opcode.MTSR, rs=draw(reg),
-                           imm=draw(st.sampled_from(
-                               [int(sr) for sr in SpecialReg])))
-    if kind == 10:
-        return Instruction(Opcode.BCC, cond=draw(st.sampled_from(list(Cond))),
-                           imm=draw(st.integers(-30, 30)))
-    if kind == 11:
-        op = draw(st.sampled_from([Opcode.JMP, Opcode.CALL]))
-        return Instruction(op, imm=draw(st.integers(0, 200)))
-    choice = draw(st.integers(0, 2))
-    if choice == 0:
-        return Instruction(Opcode.JR, rs=draw(reg))
-    if choice == 1:
-        return Instruction(Opcode.CALLR, rs=draw(reg))
-    return Instruction(Opcode.SYS, sub=int(draw(st.sampled_from(PLAIN_SYS))))
-
-
-@st.composite
-def core_state(draw):
-    core = CoreState(draw(st.integers(0, 7)), 8)
-    core.regs = draw(st.lists(st.integers(0, MASK),
-                              min_size=8, max_size=8))
-    core.pc = draw(st.integers(0, 500))
-    core.flag_z = draw(st.integers(0, 1))
-    core.flag_n = draw(st.integers(0, 1))
-    core.flag_c = draw(st.integers(0, 1))
-    core.flag_v = draw(st.integers(0, 1))
-    core.epc = draw(st.integers(0, MASK))
-    core.ivec = draw(st.integers(0, MASK))
-    core.status = draw(st.integers(0, 3))
-    core.rsync = draw(st.integers(0, MASK))
-    return core
-
-
-def clone(core: CoreState) -> CoreState:
-    other = CoreState(core.coreid, core.ncores)
-    other.regs = list(core.regs)
-    other.pc = core.pc
-    other.flag_z, other.flag_n = core.flag_z, core.flag_n
-    other.flag_c, other.flag_v = core.flag_c, core.flag_v
-    other.epc, other.ivec = core.epc, core.ivec
-    other.status, other.rsync = core.status, core.rsync
-    other.mode = core.mode
-    return other
-
-
-def snapshot(core: CoreState) -> tuple:
-    return (tuple(core.regs), core.pc, core.mode,
-            core.flag_z, core.flag_n, core.flag_c, core.flag_v,
-            core.epc, core.ivec, core.status, core.rsync)
-
-
-@given(plain_instruction(), core_state())
+@given(instructions(kinds=PLAIN_KINDS), core_states())
 def test_closure_matches_execute_plain(ins, core):
     reference = clone(core)
     execute_plain(reference, ins)

@@ -18,6 +18,8 @@ from repro.compiler import compile_source
 from repro.cpu import vec
 from repro.platform import Machine, PlatformConfig, SyncPolicy
 
+from ..oracles import machine_state
+
 CONFIG = PlatformConfig(policy=SyncPolicy.NONE)
 MAX_CYCLES = 2_000_000
 
@@ -38,20 +40,6 @@ void main() {
     out[id] = (a ^ b);
 }
 """
-
-
-def machine_state(machine: Machine) -> dict:
-    """Everything observable about a machine."""
-    return {
-        "trace": machine.trace.as_dict(),
-        "dm": list(machine.dm.words),
-        "cores": [
-            (core.pc, core.mode, tuple(core.regs),
-             core.flag_z, core.flag_n, core.flag_c, core.flag_v,
-             core.epc, core.ivec, core.status, core.rsync)
-            for core in machine.cores
-        ],
-    }
 
 
 def run_compiled(compiled, inputs, *, fast_engine=True) -> Machine:

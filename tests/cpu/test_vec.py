@@ -32,6 +32,8 @@ from repro.platform import (
     WITHOUT_SYNCHRONIZER,
 )
 
+from ..oracles import assert_equivalent, machine_state
+
 N_SAMPLES = 16
 MAX_CYCLES = 50_000_000
 
@@ -40,28 +42,6 @@ def channels(n_samples, num_cores=8, salt=0):
     return [[(1000 + 37 * core + 13 * i + salt) % 4096
              for i in range(n_samples)]
             for core in range(num_cores)]
-
-
-def machine_state(machine: Machine) -> dict:
-    """Everything observable about a machine."""
-    return {
-        "trace": machine.trace.as_dict(),
-        "dm": list(machine.dm.words),
-        "cores": [
-            (core.pc, core.mode, tuple(core.regs),
-             core.flag_z, core.flag_n, core.flag_c, core.flag_v,
-             core.epc, core.ivec, core.status, core.rsync)
-            for core in machine.cores
-        ],
-    }
-
-
-def assert_equivalent(batched: Machine, serial: Machine) -> None:
-    batched_state = machine_state(batched)
-    serial_state = machine_state(serial)
-    assert batched_state["trace"] == serial_state["trace"]
-    assert batched_state["cores"] == serial_state["cores"]
-    assert batched_state["dm"] == serial_state["dm"]
 
 
 def run_family(bench, design_name, inputs, *, max_cycles=MAX_CYCLES):

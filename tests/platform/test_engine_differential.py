@@ -5,7 +5,8 @@ Every workload here is simulated twice — once with the fast engine
 and once with ``fast_engine=False`` forcing the reference per-cycle
 ``step()`` — and the two machines must finish in bit-identical state:
 every :class:`~repro.platform.trace.ActivityTrace` counter, every
-register, flag, PC and mode of every core, and every data-memory word.
+register, flag, PC and mode of every core, every data-memory word, and
+the rotating priorities of both crossbars.
 
 Coverage: the three Fig. 3 kernels under six platform configurations
 (the four designs plus a 4-core machine and a broadcast-less ablation),
@@ -34,34 +35,14 @@ from repro.platform import (
     SyncPolicy,
 )
 
+from ..oracles import assert_equivalent
+
 N_SAMPLES = 16
 
 
 def channels(n_samples, num_cores=8):
     return [[(1000 + 37 * core + 13 * i) % 4096 for i in range(n_samples)]
             for core in range(num_cores)]
-
-
-def machine_state(machine: Machine) -> dict:
-    """Everything observable about a finished machine."""
-    return {
-        "trace": machine.trace.as_dict(),
-        "dm": list(machine.dm.words),
-        "cores": [
-            (core.pc, core.mode, tuple(core.regs),
-             core.flag_z, core.flag_n, core.flag_c, core.flag_v,
-             core.epc, core.ivec, core.status, core.rsync)
-            for core in machine.cores
-        ],
-    }
-
-
-def assert_equivalent(fast: Machine, slow: Machine) -> None:
-    fast_state = machine_state(fast)
-    slow_state = machine_state(slow)
-    assert fast_state["trace"] == slow_state["trace"]
-    assert fast_state["cores"] == slow_state["cores"]
-    assert fast_state["dm"] == slow_state["dm"]
 
 
 def run_pair(program, config, setup=None, max_cycles=200_000):
@@ -457,6 +438,26 @@ def test_single_core_fused_engagement():
         machines.append(machine)
     assert_equivalent(*machines)
     assert machines[0].engine_stats.fused_cycles > 0
+
+
+def test_single_core_block_rotates_every_bank_it_spans():
+    """A fused block longer than an I-Xbar bank fetches from every bank
+    in its span, and without broadcast each fetch rotates that bank's
+    priority — the middle banks included."""
+    source = (".entry main\nmain:\n MFSR R1, COREID\n CMPI R1, #0\n"
+              " LBNE done\n" + " ADDI R0, R0, #1\n" * 30
+              + "done:\n HALT\n")
+    config = PlatformConfig(num_cores=2, im_broadcast=False,
+                            im_bank_words=4, im_banks=16)
+    machines = []
+    for fast_engine in (True, False):
+        machine = Machine.from_assembly(source, config,
+                                        fast_engine=fast_engine)
+        machine.run(max_cycles=1_000)
+        machines.append(machine)
+    assert_equivalent(*machines)
+    # the fused run spans more than two 4-word banks
+    assert machines[0].engine_stats.fused_cycles > 8
 
 
 def test_divergent_burst_engagement():
