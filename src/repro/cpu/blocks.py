@@ -131,6 +131,10 @@ class FusedBlock(NamedTuple):
     :param cost_at: out-tuple index of ``_cost``, the cycles this
         execution actually costs (taken-path cost per hammock; ``length``
         stays the IM span for the PC advance and the horizon bound).
+    :param pred_head: IM address of the first inlined hammock's branch
+        (``-1`` without hammocks).  When the cores disagree on an arm,
+        the engine runs the block's instructions before it one at a
+        time and lets that branch split the cores.
     """
 
     run: object
@@ -145,6 +149,7 @@ class FusedBlock(NamedTuple):
     gates: tuple = ()
     pred_at: int = -1
     cost_at: int = -1
+    pred_head: int = -1
 
 
 class MemEnv(NamedTuple):
@@ -366,6 +371,7 @@ def compile_block(decoded: list, start: int, env: MemEnv | None = None,
     end_kind = KIND_SEQ
     term = "stop"
     preds = 0
+    pred_head = -1
     pc = start
     while pc < im_len:
         if length >= MAX_BLOCK:
@@ -393,6 +399,7 @@ def compile_block(decoded: list, start: int, env: MemEnv | None = None,
             if not preds:
                 w.emit("_hp = 0")
                 w.emit("_c = 0")
+                pred_head = pc
             b.hammock(h, decoded, rec[2].cond, 1 << preds)
             preds += 1
             length += h.span
@@ -430,7 +437,8 @@ def compile_block(decoded: list, start: int, env: MemEnv | None = None,
                    for position, j in enumerate(b.stores))
     return FusedBlock(namespace["run"], length, end_kind, source, term,
                       mem, stores, namespace["commit"], preds,
-                      tuple(b.gates) if preds else (), pred_at, cost_at)
+                      tuple(b.gates) if preds else (), pred_at, cost_at,
+                      pred_head)
 
 
 # ---------------------------------------------------------------------------

@@ -26,17 +26,23 @@ counters bulk-credited for the run.  A fused call is only made when the
 burst has already proven that many uninterrupted cycles (PC uniform, no
 pending IRQ/sync/memory work, horizon clearance); any guard failure
 **deoptimizes** to the reference ``step()`` for that cycle, counted in
-:attr:`EngineStats.deopt_count`.
+:attr:`EngineStats.deopt_count`.  A predicated block (if-converted
+hammocks) whose cores disagree on an arm is not a deopt: the burst runs
+the block's instructions before its first hammock branch one at a time,
+executes that branch, and ends on the divergence it causes.
 
 **Divergent bursts** — when running cores sit at *different* PCs (or IM
 broadcast is off), the reference serializes fetches through per-bank
 rotating arbitration: one winner group per cycle, everyone else stalls.
-That regime is just as invariant as lockstep while nothing external is
-pending, so :meth:`FastEngine._divergent_burst` replays the I-Xbar
-arbitration cycle by cycle — winner pick, broadcast group, priority
-rotation, conflict/stall accounting — without the reference path's
-per-cycle scans.  This is what keeps fully-divergent workloads (SQRT32)
-*faster* than pure stepping instead of at parity.
+Every served cycle sets the bank's priority to ``winner + 1`` and the
+running set cannot change inside a burst, so the winners are the running
+cores in core-id order, cycling from the bank's priority.
+:meth:`FastEngine._divergent_burst` walks that order, keeps the broadcast
+groups as a PC -> cores map updated only for the cores that moved,
+serves a lone winner's LD/ST inline (a single requester always wins its
+D-Xbar bank) and credits the conflict, histogram and retire counters
+once per burst.  The baseline design runs mostly in this regime, and so
+does every data-dependent region of the synchronized one.
 
 **Merged-barrier replay** — a lockstep ``SINC``/``SDEC`` collapses, in
 the reference, to one merged two-cycle checkpoint read-modify-write
@@ -117,7 +123,8 @@ class EngineStats:
     #: multi-bank PC.  The abandoned cycle is replayed by the reference
     #: ``step()`` (or, for a lockstep checkpoint RMW, by the barrier
     #: fast path).  Burst endings that need no fallback (horizon,
-    #: convergence, divergence) are not deopts.
+    #: convergence, divergence, a served group leaving its IM bank, a
+    #: predicated block's cores disagreeing on an arm) are not deopts.
     deopt_count: int = 0
     #: executions of fused blocks containing inlined memory ops, and
     #: the fused LD/STs those executions served (per block execution,
@@ -145,7 +152,9 @@ class EngineStats:
     pred_blocks: int = 0
     pred_cycles: int = 0
     #: predicated executions rolled back because the cores disagreed on
-    #: which arms they took (replayed per-instruction — a deopt)
+    #: which arms they took, once per disagreement: the burst runs the
+    #: block's instructions before its first hammock branch one at a
+    #: time, and the divergent burst serves the arms (not a deopt)
     pred_aborts: int = 0
     #: merged lockstep SINC/SDEC read-modify-writes replayed by the
     #: fast path (two cycles each) instead of the reference ``step()``
@@ -407,6 +416,10 @@ class FastEngine:
         fused_cycles = 0
         pred_blocks_l = 0
         pred_cycles_l = 0
+        # Blocks are skipped up to this PC: the prefix of a predicated
+        # block whose cores disagreed on an arm, up to its first hammock
+        # branch, runs per instruction (see the abort below).
+        split = -1
         deopt = False
         n = len(running)
         single = running[0] if n == 1 else None
@@ -423,7 +436,7 @@ class FastEngine:
             if pc >= im_len:
                 deopt = True          # let step() raise the fetch error
                 break
-            blk = blocks.get(pc, False)
+            blk = blocks.get(pc, False) if pc > split else None
             if blk is False:
                 blk = block_at(pc)
             if (blk is not None and cycles + blk[1] <= horizon
@@ -457,7 +470,11 @@ class FastEngine:
                         # Lockstep cores must take the same arms, or
                         # the block-granular cycle accounting (and the
                         # op-major store order) no longer matches the
-                        # reference; disagreement replays per-core.
+                        # reference.  On disagreement nothing was
+                        # committed: run the instructions before the
+                        # first hammock branch one at a time; that
+                        # branch splits the cores, the burst ends, and
+                        # `_divergent_burst` serves the arms.
                         hp = outs[0][blk[10]]
                         if n > 1:
                             for out in outs:
@@ -466,8 +483,8 @@ class FastEngine:
                                     break
                             if hp < 0:
                                 self.stats.pred_aborts += 1
-                                deopt = True
-                                break
+                                split = blk[12]
+                                continue
                         length = outs[0][blk[11]]
                     if n > 1 and memspec and not self._mem_guard(
                             memspec, outs, n, gates, hp):
@@ -571,6 +588,7 @@ class FastEngine:
                     pc += 1
                 else:
                     pc = running[0].pc
+                    split = -1            # past any split hammock
                     if kind != KIND_JUMP:     # divergent control flow
                         diverged = False
                         for core in running:
@@ -872,15 +890,27 @@ class FastEngine:
         broadcast is disabled): the bank's rotating priority picks one
         winner, the broadcast group sharing the winner's address (just
         the winner without broadcast) fetches and executes, everyone
-        else stalls, and the priority rotates past the winner.  Memory
-        winners are served inline through :meth:`_mem_cycle`.
+        else stalls, and the priority rotates past the winner.
+
+        Every served cycle sets the bank's priority to ``winner + 1``,
+        and the running set cannot change inside a burst (mode changes
+        deopt before committing), so the winners are the running cores
+        in core-id order, cycling from the bank's priority: the burst
+        walks that order instead of re-picking.  The broadcast groups
+        are kept as a PC -> cores map, updated only for the cores that
+        moved.  A lone winner's LD/ST is served inline — a single
+        requester always wins its D-Xbar bank — and a group's through
+        :meth:`_mem_cycle`.  Every served cycle is a conflict cycle (a
+        full group ends the burst), so the conflict count, the lockstep
+        histogram and the retire counts are credited once per burst.
 
         Deopts to ``step()`` — committing nothing for that cycle — when
         the winner would stop/sync/fault, when a served memory pattern
         may lose D-Xbar arbitration, and for the (never exercised by
-        the bundled kernels) multi-bank divergence case.  Exits cleanly
-        at the horizon or when broadcast cores re-converge, handing
-        back to the lockstep burst.
+        the bundled kernels) multi-bank divergence case.  Ends cleanly
+        at the horizon, when a served group leaves the bank, or when
+        broadcast cores re-converge, handing back to the lockstep
+        burst.
 
         :returns: True if at least one cycle was consumed.
         """
@@ -888,101 +918,161 @@ class FastEngine:
         trace = machine.trace
         decoded = machine._decoded
         config = machine.config
-        im_len = len(decoded)
         horizon = min(limit, self._next_event_cycle() - 1)
-        cycles = trace.cycles
-        if cycles >= horizon:
+        budget = horizon - trace.cycles
+        if budget <= 0:
             return False
         bank_words = config.im_bank_words
         bank = running[0].pc // bank_words
+        lo = bank * bank_words
+        # Leaving [lo, hi) ends the burst, so no served PC can pass the
+        # image end unchecked (the reference's fetch error).
+        hi = min(lo + bank_words, len(decoded))
         for core in running:
-            if core.pc // bank_words != bank:
+            if not lo <= core.pc < hi:
                 self.stats.deopt_count += 1
                 return False
         dxbar = machine.dxbar
         mem_ok = not (dxbar.locked_addresses or dxbar._groups)
+        words = machine.dm.words
+        dm_len = len(words)
+        dm_priority = dxbar._priority
+        interleaved = config.dm_interleaved
+        nb = config.dm_banks
+        bw = config.dm_bank_words
         broadcast = config.im_broadcast
         ncores = config.num_cores
-        priority = machine.ixbar._priority
         n = len(running)
-        executed = 0
-        served_total = 0
-        conflicts = 0
-        histogram: dict[int, int] = {}
-        retired: dict[int, int] = {}
-        deopt = False
-        while cycles < horizon:
-            start = priority[bank]
-            winner = running[0]
-            best = (winner.coreid - start) % ncores
+        rotated = [(core.coreid + 1) % ncores for core in running]
+        priority = machine.ixbar._priority
+        start = priority[bank]
+        first = next((j for j, core in enumerate(running)
+                      if core.coreid >= start), 0)
+        groups: dict = {}
+        if broadcast:
             for core in running:
-                key = (core.coreid - start) % ncores
-                if key < best:
-                    winner = core
-                    best = key
+                groups.setdefault(core.pc, []).append(core)
+        # group size -> cycles, for groups of two or more (lone winners
+        # are the rest); non-winner retirements per core id
+        sizes = [0] * (n + 1)
+        extra = [0] * ncores
+        dm_reads = dm_writes = 0
+        executed = 0
+        i = first
+        deopt = False
+        while executed < budget:
+            winner = running[i]
             wpc = winner.pc
-            if wpc >= im_len:
-                deopt = True          # let step() raise the fetch error
-                break
             if broadcast:
-                served = [c for c in running if c.pc == wpc]
-                if len(served) == n:
+                served = groups[wpc]
+                ns = len(served)
+                if ns == n:
                     break             # converged: lockstep burst's regime
             else:
-                served = [winner]
+                ns = 1                # one fetch per bank per cycle
             rec = decoded[wpc]
             kind = rec[0]
             if kind <= BURSTABLE:
                 run = rec[1]
-                for core in served:
-                    run(core)
+                if ns == 1:
+                    run(winner)
+                else:
+                    for core in served:
+                        run(core)
             elif kind == KIND_MEM and mem_ok:
-                if not self._mem_cycle(served, rec[1]):
+                if ns == 1:
+                    is_write, rs, imm, rd = rec[1]
+                    regs = winner.regs
+                    addr = (regs[rs] + imm) & 0xFFFF
+                    if addr >= dm_len:
+                        deopt = True  # out of range: step() faults
+                        break
+                    dm_priority[addr % nb if interleaved
+                                else addr // bw] = rotated[i]
+                    if is_write:
+                        words[addr] = regs[rd] & 0xFFFF
+                        dm_writes += 1
+                    else:
+                        regs[rd] = words[addr]
+                        dm_reads += 1
+                    winner.pc = wpc + 1
+                elif not self._mem_cycle(served, rec[1]):
                     deopt = True      # possible D-Xbar conflict
                     break
             else:
                 deopt = True          # synchronizer / mode change
                 break
-            # Commit this cycle's arbitration bookkeeping (all guard
-            # checks passed — nothing above mutated state before here
-            # except the instruction effects themselves).
-            priority[bank] = (winner.coreid + 1) % ncores
-            ns = len(served)
-            served_total += ns
-            if ns < n:
-                conflicts += 1
-            histogram[ns] = histogram.get(ns, 0) + 1
-            for core in served:
-                cid = core.coreid
-                retired[cid] = retired.get(cid, 0) + 1
-            cycles += 1
             executed += 1
-            moved = False
-            for core in served:
-                if core.pc // bank_words != bank:
-                    moved = True
+            i += 1
+            if i == n:
+                i = 0
+            if ns > 1:
+                sizes[ns] += 1
+                for core in served:
+                    if core is not winner:
+                        extra[core.coreid] += 1
+            if kind == KIND_SEQ or kind == KIND_MEM:
+                nxt = wpc + 1
+            elif ns == 1 or kind == KIND_JUMP:
+                nxt = winner.pc
+            else:
+                # per-core branch targets: regroup core by core
+                del groups[wpc]
+                moved = False
+                for core in served:
+                    pc = core.pc
+                    groups.setdefault(pc, []).append(core)
+                    if not lo <= pc < hi:
+                        moved = True
+                if moved:
                     break
-            if moved:
+                continue
+            if broadcast:
+                del groups[wpc]
+                group = groups.get(nxt)
+                if group is None:
+                    groups[nxt] = served
+                else:
+                    group += served
+            if not lo <= nxt < hi:
                 break                 # next fetch is in another bank
         if deopt:
             self.stats.deopt_count += 1
         if not executed:
             return False
 
+        # Winner k of the burst is running[(first + k) % n]; each served
+        # group's other members retired beside it.
+        rounds, rest = divmod(executed, n)
+        retired_per_core = trace.retired_per_core
+        for j, core in enumerate(running):
+            cid = core.coreid
+            retired_per_core[cid] += (rounds + ((j - first) % n < rest)
+                                      + extra[cid])
+        priority[bank] = rotated[(first + executed - 1) % n]
+        served_total = executed
+        histogram = trace.lockstep_histogram
+        lone = executed
+        for size in range(2, n):
+            count = sizes[size]
+            if count:
+                served_total += (size - 1) * count
+                lone -= count
+                histogram[size] = histogram.get(size, 0) + count
+        if lone:
+            histogram[1] = histogram.get(1, 0) + lone
         halted, sleeping, waiting = self._idle_census()
-        trace.cycles = cycles
+        trace.cycles += executed
         trace.core_active_cycles += served_total
         trace.core_stall_cycles += executed * n - served_total
         trace.retired_ops += served_total
-        retired_per_core = trace.retired_per_core
-        for cid, count in retired.items():
-            retired_per_core[cid] += count
         trace.im_bank_accesses += executed
         trace.im_fetches_served += served_total
-        trace.im_conflict_cycles += conflicts
-        trace_histogram = trace.lockstep_histogram
-        for size, count in histogram.items():
-            trace_histogram[size] = trace_histogram.get(size, 0) + count
+        trace.im_conflict_cycles += executed
+        if dm_reads or dm_writes:
+            trace.dm_bank_reads += dm_reads
+            trace.dm_bank_writes += dm_writes
+            trace.dm_served += dm_reads + dm_writes
         if halted:
             trace.core_halted_cycles += executed * halted
         if sleeping:

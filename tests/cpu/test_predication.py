@@ -128,6 +128,45 @@ def test_random_hammocks_batched_differential(source, runs):
         assert machine_state(b) == machine_state(s), source
 
 
+#: lockstep cores reach the hammock together and disagree on its arm:
+#: the BLT splits cores 0-3 from 4-7 after a four-instruction prefix
+DISAGREEING_HAMMOCK = """
+.entry main
+main:
+    MFSR R0, COREID
+    LI R5, #10
+loop:
+    ADDI R1, R1, #1
+    ADDI R2, R2, #2
+    ADDI R3, R3, #3
+    CMPI R0, #4
+    BLT skip
+    ADDI R4, R4, #1
+skip:
+    ADDI R5, R5, #-1
+    CMPI R5, #0
+    LBNE loop
+    HALT
+"""
+
+
+def test_lockstep_hammock_disagreement_splits_in_burst():
+    machines = []
+    for fast_engine in (True, False):
+        machine = Machine.from_assembly(
+            DISAGREEING_HAMMOCK, PlatformConfig(num_cores=8),
+            fast_engine=fast_engine)
+        machine.run(max_cycles=10_000)
+        machines.append(machine)
+    fast, reference = machines
+    assert machine_state(fast) == machine_state(reference)
+    stats = fast.engine_stats
+    assert stats.pred_aborts > 0
+    # an abort runs the prefix inside the burst and hands the split to
+    # the divergent burst; it does not fall back to step() per prefix PC
+    assert fast.trace.cycles - stats.fast_cycles < stats.pred_aborts
+
+
 class TestEngagement:
     def test_compiler_stamps_hammock_facts(self):
         compiled = compile_source(CANONICAL, sync_mode="none")

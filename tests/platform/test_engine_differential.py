@@ -338,6 +338,7 @@ RANDOM_CONFIGS = {
     "no-broadcast": PlatformConfig(num_cores=8, im_broadcast=False,
                                    dm_broadcast=False),
     "4-core": PlatformConfig(num_cores=4),
+    "interleaved": PlatformConfig(num_cores=8, dm_interleaved=True),
 }
 
 
@@ -473,3 +474,26 @@ def test_divergent_burst_engagement():
         machines.append(machine)
     assert_equivalent(*machines)
     assert machines[0].engine_stats.divergent_bursts > 0
+
+
+@pytest.mark.parametrize("interleaved", [False, True])
+def test_divergent_lone_winner_memory(interleaved):
+    """Cores offset by a per-core delay loop stay apart; a lone winner's
+    private LD/ST always wins its D-Xbar bank, and the burst must rotate
+    that bank's priority under either bank mapping."""
+    source = (".entry main\nmain:\n MFSR R0, COREID\n LI R4, #2048\n"
+              " MUL R6, R0, R4\n ADDI R0, R0, #1\n"
+              "delay:\n ADDI R0, R0, #-1\n CMPI R0, #0\n LBNE delay\n"
+              " LI R5, #20\n"
+              "loop:\n LD R1, [R6 + #3]\n ADDI R1, R1, #1\n"
+              " ST R1, [R6 + #3]\n ADDI R5, R5, #-1\n CMPI R5, #0\n"
+              " LBNE loop\n HALT\n")
+    config = PlatformConfig(num_cores=8, dm_interleaved=interleaved)
+    machines = []
+    for fast_engine in (True, False):
+        machine = Machine.from_assembly(source, config,
+                                        fast_engine=fast_engine)
+        machine.run(max_cycles=10_000)
+        machines.append(machine)
+    assert_equivalent(*machines)
+    assert machines[0].engine_stats.divergent_cycles > 0
