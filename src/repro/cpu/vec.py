@@ -34,10 +34,11 @@ affected runs out of the batch, bit-exactly, back to their reference
   that PC (the scalar engine then raises or arbitrates exactly as it
   would have);
 - a ``SINC``/``SDEC`` every core of every run executes together is
-  replayed vectorized — the merged two-cycle checkpoint RMW applied to
+  replayed vectorized — the synchronizer's merged two-cycle checkpoint
+  RMW (:func:`~repro.platform.synchronizer.checkpoint_rmw`) applied to
   the whole ``(runs,)`` plane of checkpoint words — and only the runs
   the replay guard rejects (split addresses, locked or would-raise
-  words) peel;
+  words, cores that would sleep) peel;
 - a data-dependent branch heading an if-convertible hammock
   (``Program.hammocks``) executes predicated: each run's arm commits
   under a lane mask, charged its own taken-path cost; other branches
@@ -74,13 +75,7 @@ except ImportError:                      # pragma: no cover - numpy is a
     np = None                            # declared dependency; belt+braces
 
 from ..isa.spec import Opcode
-from ..platform.synchronizer import (
-    COUNT_MASK,
-    COUNT_SHIFT,
-    FLAGS_MASK,
-    CheckpointStats,
-    SyncCompletion,
-)
+from ..platform.synchronizer import checkpoint_rmw
 from .blocks import BlockTable, MemEnv, arm_fits, cached_table, joinable
 from .semantics import (
     KIND_DIVERGE,
@@ -441,7 +436,7 @@ class VecState:
         "dm", "prio",
         "start_cycles", "d_cycles", "d_blocks",
         "d_dm_reads", "d_dm_writes", "d_dm_served",
-        "d_syncs", "d_checkins", "d_checkouts", "d_wakeups", "d_diverges",
+        "d_syncs", "d_releases", "d_diverges",
         "d_preds", "d_pred_cycles", "width",
     )
 
@@ -480,9 +475,7 @@ def _build_state(machines: list) -> VecState:
     S.d_dm_writes = np.zeros(N, dtype=np.int64)
     S.d_dm_served = np.zeros(N, dtype=np.int64)
     S.d_syncs = np.zeros(N, dtype=np.int64)
-    S.d_checkins = np.zeros(N, dtype=np.int64)
-    S.d_checkouts = np.zeros(N, dtype=np.int64)
-    S.d_wakeups = np.zeros(N, dtype=np.int64)
+    S.d_releases = np.zeros(N, dtype=np.int64)
     S.d_preds = np.zeros(N, dtype=np.int64)
     S.d_pred_cycles = np.zeros(N, dtype=np.int64)
     S.d_diverges = np.zeros(N, dtype=np.int64)
@@ -590,7 +583,7 @@ class _Group:
 
     __slots__ = ("idx", "pc", "executed", "blocks",
                  "dm_reads", "dm_writes", "dm_served",
-                 "syncs", "checkins", "checkouts", "wakeups")
+                 "syncs", "releases")
 
     def __init__(self, idx, pc: int):
         self.idx = idx
@@ -601,9 +594,7 @@ class _Group:
         self.dm_writes = 0
         self.dm_served = 0
         self.syncs = 0
-        self.checkins = 0
-        self.checkouts = 0
-        self.wakeups = 0
+        self.releases = 0
 
 
 class _FamilyRunner:
@@ -831,17 +822,17 @@ class _FamilyRunner:
         """One vectorized lockstep SINC/SDEC checkpoint read-modify-write.
 
         All lanes of every run in the group are in lockstep (the batch
-        invariant), so each run's barrier exchange is the same merged
-        two-cycle RMW the scalar engine replays in
-        ``FastEngine._lockstep_sync`` — with every core *running*.  The
-        only states compatible with that are the two uniform ones: a
-        ``SINC`` finds the checkpoint counter at 0 and raises it to
-        ``C`` with all flags set, and an ``SDEC`` finds it at ``C`` and
-        releases the barrier (word cleared, nobody asleep to wake).
-        Both advance the whole ``(runs, cores)`` plane in one update —
-        flag packing, counter arithmetic, per-checkpoint statistics and
-        listener completions replayed per run at the run's own logical
-        cycle.
+        invariant), so each run's barrier exchange is one merged
+        two-cycle RMW of all ``C`` cores, the one the scalar lockstep
+        burst replays — with every core *running*.
+        :func:`~repro.platform.synchronizer.checkpoint_rmw` applies it to
+        the group's whole ``(runs,)`` plane of checkpoint words at once.
+        A run continues when its RMW is legal and leaves every core
+        running: a ``SINC``, or an ``SDEC`` that releases the barrier
+        (word cleared, nobody asleep to wake).  Each continuing run's
+        per-checkpoint statistics and listener completions are credited
+        through ``Synchronizer.note_completion`` at the run's own
+        logical cycle.
 
         Anything else peels that run, untouched, at the checkpoint PC:
         a split (per-core) checkpoint address, an out-of-range word
@@ -868,10 +859,14 @@ class _FamilyRunner:
         addr0 = addrs[:, 0]
         uniform = (addrs == addr0[:, None]).all(axis=1)
         in_range = addr0 < S.W
-        words = S.dm[idx, np.where(in_range, addr0, 0)]
-        count = (words >> COUNT_SHIFT) & COUNT_MASK
         is_checkout = ins.op is Opcode.SDEC
-        cont = uniform & in_range & (count == (C if is_checkout else 0))
+        coreids = tuple(range(C))
+        checkins, checkouts = ((), coreids) if is_checkout else (coreids, ())
+        word, _count, released, woken, ok = checkpoint_rmw(
+            S.dm[idx, np.where(in_range, addr0, 0)],
+            sum(1 << cid for cid in checkins), len(checkins),
+            len(checkouts), C)
+        cont = uniform & in_range & ok & (released | (not is_checkout))
         enqueue = False
         if not bool(cont.all()):
             self._flush(g)
@@ -886,57 +881,30 @@ class _FamilyRunner:
             if not good.size:
                 return False
             addr0 = addr0[good]
-            words = words[good]
+            word = word[good]
+            woken = woken[good]
             idx = idx[good]
             g = _Group(idx, g.pc)
             enqueue = True
         # -- the merged two-cycle RMW, every remaining run at once -----
-        flags = words & FLAGS_MASK
-        if is_checkout:
-            S.dm[idx, addr0] = 0                      # barrier release
-            g.checkouts += C
-            g.wakeups += 1
-        else:
-            S.dm[idx, addr0] = ((C & COUNT_MASK) << COUNT_SHIFT) \
-                | (flags | ((1 << C) - 1)) & FLAGS_MASK
-            g.checkins += C
+        S.dm[idx, addr0] = word
         g.executed += 2
         g.syncs += 1
+        g.releases += is_checkout
         g.dm_reads += 1
         g.dm_writes += 1
         # Per-checkpoint statistics and listener completions are scalar
-        # per-run state; replay them now, at each run's logical cycle
-        # (its trace clock after the RMW's two cycles).
+        # per-run state; credit them now, at each run's logical cycle
+        # (its trace clock after the RMW's two cycles).  Every
+        # continuing run's counter ends at C (SINC) or 0 (SDEC).
         cycle_after = S.start_cycles[idx] + S.d_cycles[idx] + g.executed
-        count_after = 0 if is_checkout else C
-        coreids = tuple(range(C))
         machines = S.machines
-        for row in range(len(idx)):
-            sync = machines[int(idx[row])].synchronizer
-            address = int(addr0[row])
-            checkpoint = sync.stats.get(address)
-            if checkpoint is None:
-                checkpoint = sync.stats[address] = CheckpointStats()
-            checkpoint.rmws += 1
-            if is_checkout:
-                checkpoint.checkouts += C
-                checkpoint.wakeups += 1
-            else:
-                checkpoint.checkins += C
-                if C > checkpoint.max_counter:
-                    checkpoint.max_counter = C
-            if sync.listeners:
-                if is_checkout:
-                    woken = tuple(cid for cid in range(C)
-                                  if int(flags[row]) & (1 << cid))
-                    completion = SyncCompletion(address, (), coreids,
-                                                woken, True, 0)
-                else:
-                    completion = SyncCompletion(address, coreids, (),
-                                                (), False, count_after)
-                cycle = int(cycle_after[row])
-                for listener in sync.listeners:
-                    listener(cycle, completion)
+        for i, address, cycle, mask in zip(idx.tolist(), addr0.tolist(),
+                                           cycle_after.tolist(),
+                                           woken.tolist()):
+            machines[i].synchronizer.note_completion(
+                cycle, address, checkins, checkouts, len(checkins),
+                is_checkout, mask, True)
         if enqueue:
             self._flush(g)
             self._enqueue(idx, g.pc + 1)
@@ -961,13 +929,9 @@ class _FamilyRunner:
             S.d_dm_served[idx] += g.dm_served
         if g.syncs:
             S.d_syncs[idx] += g.syncs
-            S.d_checkins[idx] += g.checkins
-            S.d_checkouts[idx] += g.checkouts
-            S.d_wakeups[idx] += g.wakeups
+            S.d_releases[idx] += g.releases
             g.syncs = 0
-            g.checkins = 0
-            g.checkouts = 0
-            g.wakeups = 0
+            g.releases = 0
         S.width[idx] = np.maximum(S.width[idx], len(idx) * S.C)
         g.executed = 0
         g.blocks = 0
@@ -1055,10 +1019,13 @@ class _FamilyRunner:
             histogram = trace.lockstep_histogram
             histogram[C] = histogram.get(C, 0) + fetched
             if pairs:
+                # every batched SDEC checked out all C cores and
+                # released its barrier; every SINC checked all C in
+                releases = int(S.d_releases[i])
                 trace.sync_rmw_ops += pairs
-                trace.sync_checkins += int(S.d_checkins[i])
-                trace.sync_checkouts += int(S.d_checkouts[i])
-                trace.sync_wakeups += int(S.d_wakeups[i])
+                trace.sync_checkins += C * (pairs - releases)
+                trace.sync_checkouts += C * releases
+                trace.sync_wakeups += releases
                 engine_stats.sync_fused_rmws += pairs
                 # each merged RMW ended a lockstep region at the
                 # synchronizer, the vec analog of a term_sync block

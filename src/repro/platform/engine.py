@@ -46,12 +46,15 @@ does every data-dependent region of the synchronized one.
 
 **Merged-barrier replay** — a lockstep ``SINC``/``SDEC`` collapses, in
 the reference, to one merged two-cycle checkpoint read-modify-write
-that touches nothing but the checkpoint word.
-:meth:`FastEngine._lockstep_sync` replays both cycles in one batched
-update (flags/counter arithmetic, release/wake latching, every trace
-and per-checkpoint counter, listener callbacks) instead of handing the
-window to ``step()`` — the dominant leftover cost in barrier-dense
-kernels.
+that touches nothing but the checkpoint word.  The lockstep burst
+replays both cycles in place (:meth:`FastEngine._checkpoint_rmw`): the
+synchronizer's own :func:`~repro.platform.synchronizer.checkpoint_rmw`
+arithmetic, every trace counter, and the per-checkpoint statistics and
+listener call through ``Synchronizer.note_completion``, instead of
+handing the window to ``step()`` — the dominant leftover cost in
+barrier-dense kernels.  A checkout that leaves the cores asleep, or a
+release that wakes sleepers, ends the burst; its mode changes are
+applied with the burst's batched accounting.
 
 **Sleep fast-forward** — duty-cycled streaming nodes sleep for hundreds of
 cycles between ADC interrupts.  When no core is running and only a timer
@@ -78,8 +81,7 @@ from ..cpu.predecode import BURSTABLE, KIND_JUMP, KIND_MEM, KIND_SEQ, \
     KIND_SYNC
 from ..cpu.state import CoreMode
 from ..isa.spec import Opcode
-from .synchronizer import CheckpointStats, SyncCompletion, \
-    pack_checkpoint, unpack_checkpoint
+from .synchronizer import checkpoint_rmw
 
 INFINITY = float("inf")
 
@@ -107,6 +109,10 @@ class EngineStats:
     bookkeeping adds no per-cycle cost).  The telemetry layer reads these
     to prove the fast engine stayed engaged during a traced run."""
 
+    #: lockstep burst engagements, including the ones that start at a
+    #: checkpoint instruction (the burst replays every lockstep
+    #: ``SINC``/``SDEC``, so a barrier is part of a burst, not a path
+    #: of its own)
     lockstep_bursts: int = 0
     lockstep_cycles: int = 0
     divergent_bursts: int = 0
@@ -118,13 +124,14 @@ class EngineStats:
     fused_blocks: int = 0
     #: cycles covered by fused blocks (a subset of ``lockstep_cycles``)
     fused_cycles: int = 0
-    #: bursts abandoned by a guard check — a STOP/SYNC instruction, a
-    #: memory pattern that may lose D-Xbar arbitration, an off-image or
-    #: multi-bank PC.  The abandoned cycle is replayed by the reference
-    #: ``step()`` (or, for a lockstep checkpoint RMW, by the barrier
-    #: fast path).  Burst endings that need no fallback (horizon,
-    #: convergence, divergence, a served group leaving its IM bank, a
-    #: predicated block's cores disagreeing on an arm) are not deopts.
+    #: bursts abandoned by a guard check — a STOP instruction, a
+    #: divergent SYNC winner, a memory pattern that may lose D-Xbar
+    #: arbitration, an off-image or multi-bank PC.  The abandoned cycle
+    #: is replayed by the reference ``step()``.  Burst endings that need
+    #: no fallback (horizon, convergence, divergence, a served group
+    #: leaving its IM bank, a predicated block's cores disagreeing on an
+    #: arm, a lockstep checkpoint RMW that sleeps or wakes cores or that
+    #: ``step()`` must run) are not deopts.
     deopt_count: int = 0
     #: executions of fused blocks containing inlined memory ops, and
     #: the fused LD/STs those executions served (per block execution,
@@ -309,15 +316,6 @@ class FastEngine:
                 # One PC through the broadcast I-Xbar — or a single
                 # requester, which wins its bank unconditionally even
                 # without broadcast.
-                decoded = machine._decoded
-                if (pc < len(decoded)
-                        and decoded[pc][0] == KIND_SYNC):
-                    # A lockstep SINC/SDEC merges into one two-cycle
-                    # checkpoint RMW — replay it without step().
-                    if not self._lockstep_sync(running, pc,
-                                               decoded[pc][2], limit):
-                        return
-                    continue
                 if not self._lockstep_burst(running, pc, limit):
                     return
             else:
@@ -362,9 +360,11 @@ class FastEngine:
         idle core accrues its sleep/halt cycle.  A lockstep LD/ST whose
         requests provably win arbitration (distinct banks, or one
         broadcast read address) is served inline through
-        :meth:`_mem_cycle`; everything else — SINC/SDEC, mode changes,
-        PC divergence, bank conflicts — ends the burst, as does the
-        cycle before the next timer/IRQ event.
+        :meth:`_mem_cycle`, and a lockstep SINC/SDEC through
+        :meth:`_checkpoint_rmw` (ending the burst when it sleeps or
+        wakes cores); everything else — mode changes, PC divergence,
+        bank conflicts — ends the burst, as does the cycle before the
+        next timer/IRQ event.
 
         Whole straight-line runs are advanced by **fused superblocks**
         (:mod:`repro.cpu.blocks`): one fused call per running core
@@ -421,6 +421,8 @@ class FastEngine:
         # branch, runs per instruction (see the abort below).
         split = -1
         deopt = False
+        sleeps = False            # the last RMW checked the cores out
+        wakes = ()                # sleepers the last RMW's release wakes
         n = len(running)
         single = running[0] if n == 1 else None
         # A single requester without IM broadcast is served through the
@@ -608,24 +610,21 @@ class FastEngine:
                 pc += 1
             elif kind == KIND_SYNC:
                 # A lockstep SINC/SDEC merges into one two-cycle
-                # checkpoint RMW (see :meth:`_lockstep_sync`).  The
-                # *continuing* cases — a checkin, or a release that
-                # wakes no sleeping core — are replayed inline so the
-                # burst survives the barrier instead of tearing down
-                # and re-probing.  Anything else (a checkout that puts
-                # cores to sleep, a wake-latching release, a split or
-                # locked or would-raise word, an event in the two-cycle
-                # window) ends the burst cleanly; the next `_advance`
-                # iteration routes it through `_lockstep_sync` /
-                # ``step()`` untouched.
-                if self._checkpoint_rmw(running, pc, rec[2], cycles,
-                                        horizon, inline=True) is None:
-                    break
+                # checkpoint RMW, replayed in place.  One that puts the
+                # cores to sleep or wakes sleeping cores ends the burst:
+                # its mode changes land after the idle census below.
+                done = self._checkpoint_rmw(running, pc, rec[2], cycles,
+                                            horizon)
+                if done is None:
+                    break             # step() runs it (no deopt)
                 cycles += 2
                 n_syncs += 1
                 if banks is not None:
                     banks.add(pc // bank_words)
                 pc += 1
+                sleeps, wakes = done
+                if sleeps or wakes:
+                    break
             else:
                 deopt = True          # mode change / unclassified
                 break
@@ -636,9 +635,10 @@ class FastEngine:
 
         # Batched accounting — the per-cycle counters of `executed`
         # identical lockstep cycles plus `n_syncs` two-cycle checkpoint
-        # RMWs, applied in one update.  Inline syncs change no core
-        # mode (those cases end the burst), so one census covers the
-        # whole burst.
+        # RMWs, applied in one update.  Only the burst's last RMW may
+        # change core modes, and not before its write cycle has ended
+        # (a checking-out core is active on it, a woken one sleeps
+        # through it), so one census taken first covers the whole burst.
         busy = executed + 2 * n_syncs
         fetched = executed + n_syncs
         halted, sleeping, waiting = self._idle_census()
@@ -658,6 +658,13 @@ class FastEngine:
             trace.core_sleep_cycles += busy * sleeping
         if waiting:
             trace.sync_wait_cycles += busy * waiting
+        if sleeps:
+            barrier_sleeper = machine._barrier_sleeper
+            for core in running:
+                core.mode = CoreMode.SLEEPING
+                barrier_sleeper[core.coreid] = True
+        # latched to the start of the cycle after the write
+        machine._wake_next.update(wakes)
         if banks is not None:
             rotated = (single.coreid + 1) % machine.config.num_cores
             priority = machine.ixbar._priority
@@ -718,26 +725,30 @@ class FastEngine:
         return True
 
     def _checkpoint_rmw(self, running: list, pc: int, ins, cycles: int,
-                        horizon: float, *, inline: bool):
-        """Replay the checkpoint-word side of a merged lockstep RMW.
+                        horizon: float):
+        """Replay both cycles of a merged lockstep SINC/SDEC RMW.
 
-        Shared by :meth:`_lockstep_sync` and the burst's inline replay:
-        the guards, the flag/counter arithmetic and word write, the
-        per-checkpoint and trace credits of both cycles, the PC advance
-        and the listener call.  Fetch accounting, idle-core credits and
-        mode changes stay with the callers.
+        When every running core executes the same checkpoint
+        instruction through the broadcast I-Xbar, the reference merges
+        the requests into a *single* two-cycle read-modify-write:
+        broadcast fetch and synchronizer read phase in cycle T, write
+        phase / retire / wake latching in cycle T+1.  Neither cycle
+        touches anything but the checkpoint word, so this applies
+        :func:`~repro.platform.synchronizer.checkpoint_rmw` to it,
+        credits the trace and the synchronizer (per-checkpoint
+        statistics, listeners) for both cycles and advances the PCs.
+        Fetch accounting, idle-core credits and mode changes stay with
+        the burst.
 
         :param cycles: the clock at cycle T (the RMW ends at ``cycles +
             2``, which must not pass ``horizon``).
-        :param inline: also refuse the mode-changing cases a burst
-            cannot absorb — a checkout that puts the cores to sleep, a
-            release that must wake sleeping cores.
-        :returns: ``(is_checkout, released, woken)`` — ``woken`` the
-            flagged cores a release wakes — or None, with nothing
-            mutated, when ``step()`` must handle the instruction: no
-            synchronizer, an event inside the window, a split checkpoint
-            address (per-core ``Rsync``), a locked or out-of-range word,
-            or a protocol violation about to raise.
+        :returns: ``(sleeps, wakes)`` — whether the running cores now
+            sleep at the barrier, and the sleeping cores its release
+            wakes — or None, with nothing mutated, when ``step()`` must
+            handle the instruction: no synchronizer, an event inside the
+            window, a split checkpoint address (per-core ``Rsync``), a
+            locked or out-of-range word, or a protocol violation about
+            to raise.
         """
         machine = self._machine
         sync = machine.synchronizer
@@ -751,136 +762,31 @@ class FastEngine:
         if (address >= len(words)
                 or address in machine.dxbar.locked_addresses):
             return None
-        n = len(running)
-        ncores = machine.config.num_cores
-        is_checkout = ins.op is Opcode.SDEC
-        flags, count = unpack_checkpoint(words[address])
-        count_after = count + (-n if is_checkout else n)
-        if count_after < 0 or count_after > ncores:
+        coreids = tuple([core.coreid for core in running])
+        checkins, checkouts = (((), coreids) if ins.op is Opcode.SDEC
+                               else (coreids, ()))
+        word, count, released, woken, ok = checkpoint_rmw(
+            words[address], sum([1 << cid for cid in checkins]),
+            len(checkins), len(checkouts), machine.config.num_cores)
+        if not ok:
             return None
-        released = is_checkout and count_after == 0
-        woken: tuple = ()
-        if released:
-            woken = tuple(cid for cid in range(ncores)
-                          if flags & (1 << cid))
-        if inline and is_checkout:
-            if not released:
-                return None               # the cores sleep
-            cores = machine.cores
-            for cid in woken:
-                if cores[cid].mode is CoreMode.SLEEPING:
-                    return None           # wake latching
-
-        # cycle T: read phase; cycle T+1: write phase and retire
+        words[address] = word
         trace = machine.trace
-        checkpoint = sync.stats.get(address)
-        if checkpoint is None:
-            checkpoint = sync.stats[address] = CheckpointStats()
         trace.dm_bank_reads += 1
         trace.dm_bank_writes += 1
         trace.sync_rmw_ops += 1
-        checkpoint.rmws += 1
-        if is_checkout:
-            trace.sync_checkouts += n
-            checkpoint.checkouts += n
-        else:
-            for core in running:
-                flags |= 1 << core.coreid
-            trace.sync_checkins += n
-            checkpoint.checkins += n
-        if count_after > checkpoint.max_counter:
-            checkpoint.max_counter = count_after
-        if released:
-            # barrier release: reinitialize the word
-            words[address] = 0
-            trace.sync_wakeups += 1
-            checkpoint.wakeups += 1
-        else:
-            words[address] = pack_checkpoint(flags, count_after)
+        trace.sync_checkins += len(checkins)
+        trace.sync_checkouts += len(checkouts)
+        trace.sync_wakeups += released
         for core in running:
             core.pc = pc + 1
-        if sync.listeners:
-            coreids = tuple(core.coreid for core in running)
-            completion = SyncCompletion(
-                address, () if is_checkout else coreids,
-                coreids if is_checkout else (), woken, released,
-                count_after)
-            trace.cycles = cycles + 2     # listeners see the real clock
-            for listener in sync.listeners:
-                listener(cycles + 2, completion)
-        return is_checkout, released, woken
-
-    def _lockstep_sync(self, running: list, pc: int, ins,
-                       limit: int) -> bool:
-        """Replay one merged lockstep SINC/SDEC read-modify-write.
-
-        When every running core executes the same checkpoint
-        instruction through the broadcast I-Xbar, the reference
-        collapses the requests into a *single* two-cycle RMW: broadcast
-        fetch and synchronizer read phase in cycle T, write phase /
-        retire / wake latching in cycle T+1.  Neither cycle touches
-        anything but the checkpoint word, so both are replayed here in
-        one batched update — in barrier-dense kernels these two-step
-        windows are most of what ``step()`` is left with.  Anything
-        unusual defers to the reference untouched (see
-        :meth:`_checkpoint_rmw`).
-
-        :returns: True if the two cycles were consumed.
-        """
-        machine = self._machine
-        trace = machine.trace
-        cycles = trace.cycles
-        done = self._checkpoint_rmw(
-            running, pc, ins, cycles,
-            min(limit, self._next_event_cycle() - 1), inline=False)
-        if done is None:
-            return False
-        is_checkout, released, woken = done
-        n = len(running)
-        config = machine.config
-        # cycle T's broadcast fetch
-        if n == 1 and not config.im_broadcast:
-            # single requester through per-bank arbitration: it wins its
-            # bank unconditionally, rotating the bank's priority
-            bank = pc // config.im_bank_words
-            machine.ixbar._priority[bank] = \
-                (running[0].coreid + 1) % config.num_cores
-        trace.im_bank_accesses += 1
-        trace.im_fetches_served += n
-        trace.note_lockstep(n)
-
-        # Batched accounting of both cycles.  The idle census runs
-        # before any mode change: a non-released checkout core is
-        # *active* on its write cycle and only sleeps from T+2, and a
-        # woken core stays a barrier sleeper through T+1.
-        halted, sleeping, waiting = self._idle_census()
-        trace.cycles = cycles + 2
-        trace.core_active_cycles += 2 * n
-        trace.retired_ops += n
-        retired = trace.retired_per_core
-        for core in running:
-            retired[core.coreid] += 1
-        if halted:
-            trace.core_halted_cycles += 2 * halted
-        if sleeping:
-            trace.core_sleep_cycles += 2 * sleeping
-        if waiting:
-            trace.sync_wait_cycles += 2 * waiting
-        if is_checkout and not released:
-            barrier_sleeper = machine._barrier_sleeper
-            for core in running:
-                core.mode = CoreMode.SLEEPING
-                barrier_sleeper[core.coreid] = True
-        # wake every flagged sleeper, latched to the start of cycle T+2
-        cores = machine.cores
-        for cid in woken:
-            if cores[cid].mode is CoreMode.SLEEPING:
-                machine._wake_next.add(cid)
-        stats = self.stats
-        stats.lockstep_cycles += 2
-        stats.sync_fused_rmws += 1
-        machine._quiet = False
-        return True
+        trace.cycles = cycles + 2         # listeners see the real clock
+        sync.note_completion(cycles + 2, address, checkins, checkouts,
+                             count, released, woken, True)
+        if not released:
+            return bool(checkouts), ()
+        return False, [cid for cid, core in enumerate(machine.cores)
+                       if woken >> cid & 1 and core.mode is CoreMode.SLEEPING]
 
     def _divergent_burst(self, running: list, limit: int) -> bool:
         """Serialize divergent running cores through I-Xbar arbitration.

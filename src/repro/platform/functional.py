@@ -12,7 +12,16 @@ immediate memory access and an idealized barrier:
 
 - ``SINC`` updates the checkpoint word atomically;
 - ``SDEC`` decrements it; the core blocks until the counter reaches
-  zero, at which point all flagged cores unblock and the word clears.
+  zero, at which point all flagged cores unblock and the word clears;
+- a check-in that pushes the counter past the core count, or a
+  check-out that finds it at zero, raises
+  :class:`~repro.platform.synchronizer.SynchronizationError`, as the
+  cycle machine does.
+
+Its barrier arithmetic is written out here on purpose, apart from the
+synchronizer's :func:`~repro.platform.synchronizer.checkpoint_rmw`
+that the cycle machine and both of its fast engines share: co-simulation
+is the independent check of that one kernel.
 
 Equivalence with the cycle machine is guaranteed only for *race-free*
 programs (no conflicting same-address accesses ordered differently by
@@ -31,7 +40,8 @@ from ..cpu.executor import (
 from ..cpu.state import CoreMode, CoreState
 from ..isa.program import Program
 from ..isa.spec import Opcode
-from .synchronizer import pack_checkpoint, unpack_checkpoint
+from .synchronizer import SynchronizationError, pack_checkpoint, \
+    unpack_checkpoint
 
 
 class FunctionalDeadlock(RuntimeError):
@@ -86,15 +96,19 @@ class FunctionalSimulator:
         elif op is Opcode.SINC:
             address = checkpoint_address(core, ins)
             flags, count = unpack_checkpoint(self.dm[address])
-            self.dm[address] = pack_checkpoint(flags | (1 << cid),
-                                               count + 1)
+            count += 1
+            if count > len(self.cores):
+                raise SynchronizationError(
+                    f"checkpoint @{address}: counter {count} exceeds the "
+                    "core count; a core checked in twice")
+            self.dm[address] = pack_checkpoint(flags | (1 << cid), count)
             core.pc += 1
         elif op is Opcode.SDEC:
             address = checkpoint_address(core, ins)
             flags, count = unpack_checkpoint(self.dm[address])
             count -= 1
             if count < 0:
-                raise ExecutionError(
+                raise SynchronizationError(
                     f"checkpoint @{address}: check-out without check-in")
             core.pc += 1
             if count == 0:

@@ -40,6 +40,35 @@ def unpack_checkpoint(word: int) -> tuple[int, int]:
     return word & FLAGS_MASK, (word >> COUNT_SHIFT) & COUNT_MASK
 
 
+def checkpoint_rmw(word, checkin_mask, checkins, checkouts, ncores):
+    """One merged check-in/check-out read-modify-write of a checkpoint word.
+
+    The one statement of the synchronizer's arithmetic: the reference
+    write phase and both fast engines' replays call it.  Every
+    expression is valid on a Python int and on a NumPy plane of words
+    (the requests may stay scalar), so a batch of runs applies it to its
+    whole ``(runs,)`` plane at once.
+
+    :param checkin_mask: identity bits of the cores checking in.
+    :param checkins: number of cores checking in.
+    :param checkouts: number of cores checking out.
+    :returns: ``(word_after, count_after, released, woken_mask, ok)`` —
+        the word to write back, the counter after the merge, whether the
+        barrier released (the counter reached zero on a check-out: the
+        word clears and every flagged core wakes), the flagged cores to
+        wake (0 unless released), and False for a protocol violation
+        (the counter left ``0..ncores``; nothing may be written).
+    """
+    flags, count = unpack_checkpoint(word)
+    flags = flags | checkin_mask
+    count = count + checkins - checkouts
+    released = (count == 0) & (checkouts > 0)
+    woken = released * (flags & ((1 << ncores) - 1))
+    ok = (count >= 0) & (count <= ncores)
+    return ((released == 0) * pack_checkpoint(flags, count), count,
+            released, woken, ok)
+
+
 class SynchronizationError(RuntimeError):
     """A program violated the check-in/check-out protocol."""
 
@@ -70,9 +99,8 @@ class _Rmw:
     """A merged read-modify-write in flight (read done, write pending)."""
 
     address: int
-    checkin_mask: int
-    checkout_cores: list[int]
-    checkin_cores: list[int]
+    checkin_cores: tuple[int, ...]
+    checkout_cores: tuple[int, ...]
     value_read: int
 
 
@@ -104,9 +132,8 @@ class Synchronizer:
         self.stats: dict[int, CheckpointStats] = {}
         #: observers called as ``listener(cycle, completion)`` for every
         #: completed RMW — e.g. :class:`repro.sync.verifier.SyncCrosscheck`.
-        #: The synchronizer performs RMWs on the slow path even under the
-        #: fast engine, so listeners see every barrier event at no cost to
-        #: lockstep bursts.
+        #: The fast engines' replays report through :meth:`note_completion`
+        #: too, so listeners see every barrier event whichever engine ran it.
         self.listeners: list = []
 
     @property
@@ -124,14 +151,9 @@ class Synchronizer:
         :returns: the completions and the set of DM banks whose port the
             synchronizer occupies this cycle.
         """
-        completions: list[SyncCompletion] = []
-        busy_banks: set[int] = set()
-        for rmw in self._pending_writes:
-            completion = self._complete(rmw)
-            completions.append(completion)
-            busy_banks.add(self._config.dm_bank_of(rmw.address))
-            for listener in self.listeners:
-                listener(self._trace.cycles, completion)
+        pending = self._pending_writes
+        completions = [self._complete(rmw) for rmw in pending]
+        busy_banks = {self._config.dm_bank_of(rmw.address) for rmw in pending}
         self._pending_writes = []
         return completions, busy_banks
 
@@ -164,69 +186,77 @@ class Synchronizer:
             stats.rmws += 1
             self._dxbar.lock(address)
             used_banks.add(bank)
-            mask = 0
-            checkouts: list[int] = []
-            checkins: list[int] = []
-            for req in group:
-                if req.is_checkout:
-                    checkouts.append(req.core)
-                else:
-                    checkins.append(req.core)
-                    mask |= 1 << req.core
-                accepted.add(req.core)
-            self._pending_writes.append(
-                _Rmw(address, mask, checkouts, checkins, value))
+            accepted.update(req.core for req in group)
+            self._pending_writes.append(_Rmw(
+                address,
+                tuple(req.core for req in group if not req.is_checkout),
+                tuple(req.core for req in group if req.is_checkout),
+                value))
         return accepted, used_banks
 
     # ------------------------------------------------------------------
 
     def _complete(self, rmw: _Rmw) -> SyncCompletion:
         """Apply one merged RMW's write and compute its wake effects."""
-        flags, count = unpack_checkpoint(rmw.value_read)
-        flags |= rmw.checkin_mask
-        count += len(rmw.checkin_cores) - len(rmw.checkout_cores)
-        if count < 0:
+        checkins, checkouts = rmw.checkin_cores, rmw.checkout_cores
+        word, count, released, woken, ok = checkpoint_rmw(
+            rmw.value_read, sum(1 << core for core in checkins),
+            len(checkins), len(checkouts), self._config.num_cores)
+        if not ok:
             raise SynchronizationError(
                 f"checkpoint @{rmw.address}: more check-outs than check-ins "
-                f"(cores {rmw.checkout_cores})")
-        if count > self._config.num_cores:
-            raise SynchronizationError(
+                f"(cores {list(checkouts)})" if count < 0 else
                 f"checkpoint @{rmw.address}: counter {count} exceeds the "
                 "core count; a core checked in twice")
-
         trace = self._trace
         trace.dm_bank_writes += 1
-        trace.sync_checkins += len(rmw.checkin_cores)
-        trace.sync_checkouts += len(rmw.checkout_cores)
-        stats = self.stats[rmw.address]
-        stats.checkins += len(rmw.checkin_cores)
-        stats.checkouts += len(rmw.checkout_cores)
+        trace.sync_checkins += len(checkins)
+        trace.sync_checkouts += len(checkouts)
+        trace.sync_wakeups += released
+        self._memory.write(rmw.address, word)
+        self._dxbar.unlock(rmw.address)
+        return self.note_completion(trace.cycles, rmw.address, checkins,
+                                    checkouts, count, released, woken)
+
+    def note_completion(self, cycle: int, address: int, checkin_cores: tuple,
+                        checkout_cores: tuple, count: int, released: bool,
+                        woken: int, replayed: bool = False):
+        """Credit one merged RMW's write to its checkpoint's statistics
+        and report it to the listeners.
+
+        The reference write phase and both fast engines' replays all end
+        here, so the credit and the event stream are the same whichever
+        engine ran the barrier.
+
+        :param cycle: the clock after the write (what listeners see).
+        :param count: the counter after the write.
+        :param woken: the flagged cores to wake, as
+            :func:`checkpoint_rmw`'s mask.
+        :param replayed: a fast path ran both cycles in one update, so the
+            read phase's ``rmws`` credit lands here too, and the
+            completion is built only when a listener needs it.
+        :returns: the :class:`SyncCompletion`, or None when replayed
+            with no listener attached.
+        """
+        stats = self.stats.get(address)
+        if stats is None:
+            stats = self.stats[address] = CheckpointStats()
+        stats.rmws += replayed
+        stats.checkins += len(checkin_cores)
+        stats.checkouts += len(checkout_cores)
         if count > stats.max_counter:
             stats.max_counter = count
-
-        woken: tuple[int, ...] = ()
-        released = False
-        if count == 0 and rmw.checkout_cores:
-            # All expected cores reached the check-out point: wake every
-            # flagged core and reinitialize the word (paper sec. IV-A).
-            woken = tuple(core for core in range(self._config.num_cores)
-                          if flags & (1 << core))
-            self._memory.write(rmw.address, 0)
-            trace.sync_wakeups += 1
-            stats.wakeups += 1
-            released = True
-        else:
-            self._memory.write(rmw.address, pack_checkpoint(flags, count))
-
-        self._dxbar.unlock(rmw.address)
-        return SyncCompletion(
-            rmw.address,
-            tuple(rmw.checkin_cores),
-            tuple(rmw.checkout_cores),
-            woken,
-            released,
-            count,
-        )
+        stats.wakeups += released
+        if replayed and not self.listeners:
+            return None
+        completion = SyncCompletion(
+            address, checkin_cores, checkout_cores,
+            tuple(cid for cid in range(self._config.num_cores)
+                  if woken >> cid & 1),
+            released, count)
+        for listener in self.listeners:
+            listener(cycle, completion)
+        return completion
 
     # ------------------------------------------------------------------
 

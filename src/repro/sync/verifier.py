@@ -820,9 +820,10 @@ class SyncCrosscheck:
       region (LIFO);
     - at the end of the run every core's region stack must be empty.
 
-    Use :meth:`result` after the run.  The synchronizer performs the
-    read-modify-writes on the slow path even under the fast engine, so no
-    probe (and no slowdown of lockstep bursts) is needed.
+    Use :meth:`result` after the run.  Every read-modify-write, run by
+    the reference synchronizer or replayed by a fast engine, reaches the
+    synchronizer's listeners, so no probe (and no slowdown of lockstep
+    bursts) is needed.
     """
 
     def __init__(self, machine, report: LintReport,

@@ -2,10 +2,11 @@
 
 A cycle probe forces the fast engine to stand down (every cycle must be
 stepped and sampled), which costs the 3-54x wins of
-:mod:`repro.platform.engine`.  The tracer takes the other route: the
-synchronizer performs its checkpoint read-modify-writes on the reference
-path even under the fast engine (``SINC``/``SDEC`` end lockstep bursts,
-and ``synchronizer.busy`` blocks the fast paths), so subscribing to
+:mod:`repro.platform.engine`.  The tracer takes the other route: every
+checkpoint read-modify-write, whether the reference synchronizer ran it
+or a fast engine replayed it, reports through
+:meth:`Synchronizer.note_completion <repro.platform.synchronizer.Synchronizer.note_completion>`,
+so subscribing to
 :attr:`Synchronizer.listeners <repro.platform.synchronizer.Synchronizer.listeners>`
 observes *every* barrier event — with exact cycle numbers — at zero cost
 to bursts.  Likewise the fast engine serves only provably conflict-free

@@ -3,13 +3,16 @@
 - :func:`machine_state` / :func:`assert_equivalent` — everything
   observable about a machine, the ground truth every engine pair (fast
   vs reference ``step()``, batched vs serial) is compared on: the
-  activity trace, data memory, every core's architectural state, and
-  the rotating priorities of both crossbars.
+  activity trace, data memory, every core's architectural state, the
+  rotating priorities of both crossbars, and the barrier state — each
+  checkpoint's statistics and which cores sleep at a barrier.
 - :func:`instructions` — one hypothesis strategy spanning the ISA's
   semantics table (:data:`repro.cpu.semantics.FORMS`), with random
   operand fields; :func:`core_states`, :func:`clone` and
   :func:`snapshot` are the per-core state helpers that go with it.
 """
+
+from dataclasses import astuple
 
 from hypothesis import strategies as st
 
@@ -33,6 +36,10 @@ def machine_state(machine) -> dict:
         ],
         "ixbar_priority": list(machine.ixbar._priority),
         "dxbar_priority": list(machine.dxbar._priority),
+        "checkpoint_stats": None if machine.synchronizer is None else {
+            address: astuple(stats)
+            for address, stats in machine.synchronizer.stats.items()},
+        "barrier_sleeper": list(machine._barrier_sleeper),
     }
 
 

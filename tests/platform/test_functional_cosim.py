@@ -12,11 +12,17 @@ from repro.compiler import compile_source
 from repro.dsp import generate_ecg
 from repro.kernels import BENCHMARKS, WITH_SYNC, build_program
 from repro.kernels.suite import run_benchmark
-from repro.platform import Machine, PlatformConfig, SyncPolicy
+from repro.platform import (
+    WITH_SYNCHRONIZER,
+    Machine,
+    PlatformConfig,
+    SyncPolicy,
+)
 from repro.platform.functional import (
     FunctionalDeadlock,
     FunctionalSimulator,
 )
+from repro.platform.synchronizer import SynchronizationError
 
 from tests.compiler.test_differential import spmd_programs
 
@@ -94,6 +100,30 @@ class TestBarrierSemantics:
         """)
         iss = FunctionalSimulator(program)
         with pytest.raises(FunctionalDeadlock):
+            iss.run()
+
+    @pytest.mark.parametrize("fast_engine", [True, False])
+    def test_double_checkin_raises_in_both_models(self, fast_engine):
+        # every core checks in twice: the counter would reach 16, which
+        # a 4-bit field wraps to 0 — both models must flag the second
+        # check-in instead of wrapping
+        from repro.isa.assembler import assemble
+
+        source = """
+            LI R1, #30720
+            MTSR RSYNC, R1
+            SINC #0
+            SINC #0
+            SDEC #0
+            SDEC #0
+            HALT
+        """
+        machine = Machine(assemble(source), WITH_SYNCHRONIZER,
+                          fast_engine=fast_engine)
+        with pytest.raises(SynchronizationError, match="exceeds"):
+            machine.run(max_cycles=1_000)
+        iss = FunctionalSimulator(assemble(source))
+        with pytest.raises(SynchronizationError, match="exceeds"):
             iss.run()
 
     def test_instruction_limit(self):

@@ -309,6 +309,54 @@ def test_barrier_fast_path_differential(config_name):
     assert stats.lockstep_cycles >= 2 * stats.sync_fused_rmws
 
 
+# Cores 4..7 wait in SLEEP for an interrupt, so cores 0..3 check out in
+# lockstep while the barrier is still open and fall asleep; the IRQ-woken
+# cores check out last and release the barrier, waking them.
+BARRIER_SLEEP = """
+.entry main
+isr:
+    RETI
+main:
+    LI R1, #30720           ; DEFAULT_SYNC_BASE
+    MTSR RSYNC, R1
+    LI R1, #isr
+    MTSR IVEC, R1
+    EI
+    MFSR R0, COREID
+    SINC #0
+    CMPI R0, #4
+    BLT group_a
+    SLEEP
+    SDEC #0
+    HALT
+group_a:
+    LI R2, #6
+spin:
+    DEC R2
+    BNE spin
+    SDEC #0
+    ADD R3, R3, R3
+    HALT
+"""
+
+
+def test_barrier_checkout_that_sleeps_ends_the_burst():
+    """A lockstep check-out that leaves the barrier open is replayed by
+    the burst, which then puts its cores to sleep; the release that
+    wakes them is replayed too — both bit-exact with ``step()``."""
+    def setup(machine):
+        for core in range(4, 8):
+            machine.schedule_interrupt(200, core)
+
+    fast, slow = run_pair(assemble(BARRIER_SLEEP), MEM_CONFIGS["default"],
+                          setup, max_cycles=10_000)
+    assert_equivalent(fast, slow)
+    assert fast.trace.sync_wakeups == 1
+    assert fast.trace.sync_wait_cycles > 0
+    # the check-in, the sleeping check-out and the releasing check-out
+    assert fast.engine_stats.sync_fused_rmws == 3
+
+
 def test_barrier_protocol_violation_raises_on_both_engines():
     """An orphan check-out must defer to the reference, which raises —
     the fast path never commits a protocol-violating RMW."""

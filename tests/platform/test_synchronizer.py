@@ -1,5 +1,6 @@
 """Tests for the hardware synchronizer block."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +11,7 @@ from repro.platform.synchronizer import (
     SynchronizationError,
     Synchronizer,
     SyncRequest,
+    checkpoint_rmw,
     pack_checkpoint,
     unpack_checkpoint,
 )
@@ -24,6 +26,48 @@ def test_checkpoint_word_roundtrip(flags, count):
 def test_checkpoint_word_matches_paper_layout():
     # identity flags in bits 7..0, core counter above them
     assert pack_checkpoint(0b10000001, 2) == 0x0281
+
+
+@st.composite
+def merged_requests(draw):
+    """A checkpoint word, disjoint check-in/check-out core sets, ncores."""
+    ncores = draw(st.integers(1, 8))
+    roles = draw(st.lists(st.sampled_from(("idle", "in", "out")),
+                          min_size=ncores, max_size=ncores))
+    checkins = [cid for cid, role in enumerate(roles) if role == "in"]
+    checkouts = [cid for cid, role in enumerate(roles) if role == "out"]
+    return draw(st.integers(0, 0xFFFF)), checkins, checkouts, ncores
+
+
+@given(merged_requests(), st.lists(st.integers(0, 0xFFFF), max_size=4),
+       st.data())
+def test_checkpoint_rmw_kernel(request, others, data):
+    word, checkins, checkouts, ncores = request
+    mask = sum(1 << cid for cid in checkins)
+    args = (mask, len(checkins), len(checkouts), ncores)
+    result = checkpoint_rmw(word, *args)
+
+    # a (runs,) plane of words: each row equals the scalar call
+    row = data.draw(st.integers(0, len(others)))
+    plane = np.array(others[:row] + [word] + others[row:], dtype=np.int64)
+    assert tuple(int(part[row]) for part in checkpoint_rmw(plane, *args)) \
+        == tuple(int(part) for part in result)
+
+    # the rules, written out literally
+    word_after, count_after, released, woken, ok = result
+    flags, count = unpack_checkpoint(word)
+    flags |= mask
+    assert count_after == count + len(checkins) - len(checkouts)
+    assert ok == (0 <= count_after <= ncores)
+    assert released == (count_after == 0 and bool(checkouts))
+    if released:
+        assert word_after == 0
+        assert woken == sum(1 << cid for cid in range(ncores)
+                            if flags & (1 << cid))
+    else:
+        assert woken == 0
+        if ok:
+            assert unpack_checkpoint(word_after) == (flags, count_after)
 
 
 class SyncHarness:
