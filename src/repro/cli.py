@@ -208,7 +208,8 @@ def cmd_trace(args) -> int:
           f"{machine.trace.cycles} cycles")
     print(f"fast engine {'engaged' if stats.engaged else 'stood down'}: "
           f"{stats.lockstep_cycles} lockstep + {stats.divergent_cycles} "
-          f"divergent + {stats.sleep_cycles} sleep cycles on fast paths")
+          f"divergent + {stats.sleep_cycles} sleep cycles on fast paths, "
+          f"{machine.trace.cycles - stats.fast_cycles} step() cycles")
     print(f"  superblocks: {stats.fused_cycles} cycles fused over "
           f"{stats.fused_blocks} blocks, {stats.deopt_count} deopts")
     print(f"  memory fusion: {stats.mem_fused_ops} LD/ST fused inside "
@@ -221,7 +222,8 @@ def cmd_trace(args) -> int:
                        if count)
     print(f"  block terminations: {census or 'none'}")
     print(f"  barrier fast path: {stats.sync_fused_rmws} merged "
-          f"checkpoint RMWs replayed without step()")
+          f"checkpoint RMWs replayed by the lockstep and divergent bursts "
+          f"without step()")
     for index, row in sorted(snapshot["barriers"]["checkpoints"].items(),
                              key=lambda kv: int(kv[0])):
         print(f"  {row['label']:32s} {row['spans']:5d} spans  "

@@ -44,17 +44,21 @@ D-Xbar bank) and credits the conflict, histogram and retire counters
 once per burst.  The baseline design runs mostly in this regime, and so
 does every data-dependent region of the synchronized one.
 
-**Merged-barrier replay** — a lockstep ``SINC``/``SDEC`` collapses, in
-the reference, to one merged two-cycle checkpoint read-modify-write
-that touches nothing but the checkpoint word.  The lockstep burst
-replays both cycles in place (:meth:`FastEngine._checkpoint_rmw`): the
-synchronizer's own :func:`~repro.platform.synchronizer.checkpoint_rmw`
-arithmetic, every trace counter, and the per-checkpoint statistics and
-listener call through ``Synchronizer.note_completion``, instead of
-handing the window to ``step()`` — the dominant leftover cost in
-barrier-dense kernels.  A checkout that leaves the cores asleep, or a
-release that wakes sleepers, ends the burst; its mode changes are
-applied with the burst's batched accounting.
+**Merged-barrier replay** — a served group's ``SINC``/``SDEC``
+collapses, in the reference, to one merged two-cycle checkpoint
+read-modify-write that touches nothing but the checkpoint word.  Both
+bursts replay both cycles in place through one helper
+(:meth:`FastEngine._checkpoint_rmw`): the synchronizer's own
+:func:`~repro.platform.synchronizer.checkpoint_rmw` arithmetic, every
+trace counter, and the per-checkpoint statistics and listener call
+through ``Synchronizer.note_completion``, instead of handing the window
+to ``step()`` — the dominant leftover cost in barrier-dense kernels.  In
+a divergent burst the group sits out the write cycle's fetch, which the
+other running cores arbitrate for, and the helper serves that fetch
+too (or declines the whole window).  A checkout that leaves the cores
+asleep, or a release that wakes sleepers, ends the burst; the engine
+applies the latched wakeups itself at the start of the next cycle, as
+``step()``'s first phase does, unless a timer or interrupt lands then.
 
 **Sleep fast-forward** — duty-cycled streaming nodes sleep for hundreds of
 cycles between ADC interrupts.  When no core is running and only a timer
@@ -69,7 +73,8 @@ memory word ends up bit-for-bit identical to pure ``step()`` stepping
 (guarded by ``tests/platform/test_engine_differential.py``).  Whenever a
 precondition fails — probes attached, outstanding memory or synchronizer
 work, pending interrupts, mode changes — the engine degrades to the
-reference ``step()`` for that cycle.
+reference ``step()`` for that cycle; a burst whose guard fails hands
+that cycle straight back.
 """
 
 from __future__ import annotations
@@ -93,6 +98,16 @@ INFINITY = float("inf")
 #: only matters in step()-owned stretches the bursts cannot enter at
 #: all (held memory conflicts, back-to-back IRQ delivery).
 _MAX_BACKOFF = 16
+
+
+def _credit_winners(retired: list, running: list, first: int,
+                    served: int) -> None:
+    """Credit ``served`` divergent cycles won in the fixed order:
+    winner k is ``running[(first + k) % len(running)]``."""
+    n = len(running)
+    rounds, rest = divmod(served, n)
+    for j, core in enumerate(running):
+        retired[core.coreid] += rounds + ((j - first) % n < rest)
 
 
 class DeadlockError(RuntimeError):
@@ -125,13 +140,14 @@ class EngineStats:
     #: cycles covered by fused blocks (a subset of ``lockstep_cycles``)
     fused_cycles: int = 0
     #: bursts abandoned by a guard check — a STOP instruction, a
-    #: divergent SYNC winner, a memory pattern that may lose D-Xbar
-    #: arbitration, an off-image or multi-bank PC.  The abandoned cycle
-    #: is replayed by the reference ``step()``.  Burst endings that need
-    #: no fallback (horizon, convergence, divergence, a served group
+    #: memory pattern that may lose D-Xbar arbitration, a divergent
+    #: checkpoint RMW the replay declines, an off-image or multi-bank
+    #: PC.  The abandoned cycle is replayed by the reference ``step()``,
+    #: which the burst hands it to at once.  Burst endings that need no
+    #: fallback (horizon, convergence, divergence, a served group
     #: leaving its IM bank, a predicated block's cores disagreeing on an
-    #: arm, a lockstep checkpoint RMW that sleeps or wakes cores or that
-    #: ``step()`` must run) are not deopts.
+    #: arm, a checkpoint RMW that sleeps or wakes cores, a lockstep one
+    #: that ``step()`` must run) are not deopts.
     deopt_count: int = 0
     #: executions of fused blocks containing inlined memory ops, and
     #: the fused LD/STs those executions served (per block execution,
@@ -163,8 +179,9 @@ class EngineStats:
     #: block's instructions before its first hammock branch one at a
     #: time, and the divergent burst serves the arms (not a deopt)
     pred_aborts: int = 0
-    #: merged lockstep SINC/SDEC read-modify-writes replayed by the
-    #: fast path (two cycles each) instead of the reference ``step()``
+    #: merged SINC/SDEC read-modify-writes replayed (two cycles each)
+    #: by the lockstep or divergent burst, or the batch engine, instead
+    #: of the reference ``step()``
     sync_fused_rmws: int = 0
     #: size of the largest array-of-machines batch this run was part of
     #: (:func:`repro.cpu.vec.run_batch`); 0 when never batched
@@ -293,14 +310,21 @@ class FastEngine:
         while True:
             # Preconditions shared by both fast paths: nothing in flight
             # anywhere but the cores themselves.
-            if (machine._outstanding_count or machine._pending_irq_count
-                    or machine._wake_next):
+            if machine._outstanding_count or machine._pending_irq_count:
                 return
             sync = machine.synchronizer
             if sync is not None and sync.busy:
                 return
-            if machine.trace.cycles >= limit:
+            cycles = machine.trace.cycles
+            if cycles >= limit:
                 return
+            if machine._wake_next:
+                # A release's wakeups land at the start of the next
+                # cycle, as step()'s phase 1 applies them — unless a
+                # timer or IRQ lands on that cycle too: step() owns it.
+                if self._next_event_cycle() <= cycles + 1:
+                    return
+                machine._apply_wakes()
             running = [c for c in cores if c.mode is CoreMode.RUNNING]
             if not running:
                 self._sleep_fast_forward(limit)
@@ -373,7 +397,8 @@ class FastEngine:
         code adjacent to memory/sync boundaries) take the
         per-instruction closure path.
 
-        :returns: True if at least one cycle was consumed.
+        :returns: True if at least one cycle was consumed and no guard
+            failed.
         """
         machine = self._machine
         trace = machine.trace
@@ -386,6 +411,11 @@ class FastEngine:
         cycles = trace.cycles
         if cycles >= horizon:
             return False
+        # Only the burst's last RMW may change core modes, and not before
+        # its write cycle has ended (a checking-out core is active on it,
+        # a woken one sleeps through it), so one census taken first
+        # covers the whole burst.
+        halted, sleeping, waiting = self._idle_census()
 
         table = machine._blocks
         if table is None:
@@ -421,8 +451,6 @@ class FastEngine:
         # branch, runs per instruction (see the abort below).
         split = -1
         deopt = False
-        sleeps = False            # the last RMW checked the cores out
-        wakes = ()                # sleepers the last RMW's release wakes
         n = len(running)
         single = running[0] if n == 1 else None
         # A single requester without IM broadcast is served through the
@@ -611,8 +639,7 @@ class FastEngine:
             elif kind == KIND_SYNC:
                 # A lockstep SINC/SDEC merges into one two-cycle
                 # checkpoint RMW, replayed in place.  One that puts the
-                # cores to sleep or wakes sleeping cores ends the burst:
-                # its mode changes land after the idle census below.
+                # cores to sleep or wakes sleeping cores ends the burst.
                 done = self._checkpoint_rmw(running, pc, rec[2], cycles,
                                             horizon)
                 if done is None:
@@ -622,8 +649,7 @@ class FastEngine:
                 if banks is not None:
                     banks.add(pc // bank_words)
                 pc += 1
-                sleeps, wakes = done
-                if sleeps or wakes:
+                if done:
                     break
             else:
                 deopt = True          # mode change / unclassified
@@ -635,13 +661,9 @@ class FastEngine:
 
         # Batched accounting — the per-cycle counters of `executed`
         # identical lockstep cycles plus `n_syncs` two-cycle checkpoint
-        # RMWs, applied in one update.  Only the burst's last RMW may
-        # change core modes, and not before its write cycle has ended
-        # (a checking-out core is active on it, a woken one sleeps
-        # through it), so one census taken first covers the whole burst.
+        # RMWs, applied in one update.
         busy = executed + 2 * n_syncs
         fetched = executed + n_syncs
-        halted, sleeping, waiting = self._idle_census()
         trace.cycles = cycles
         trace.core_active_cycles += busy * n
         trace.retired_ops += fetched * n
@@ -658,13 +680,6 @@ class FastEngine:
             trace.core_sleep_cycles += busy * sleeping
         if waiting:
             trace.sync_wait_cycles += busy * waiting
-        if sleeps:
-            barrier_sleeper = machine._barrier_sleeper
-            for core in running:
-                core.mode = CoreMode.SLEEPING
-                barrier_sleeper[core.coreid] = True
-        # latched to the start of the cycle after the write
-        machine._wake_next.update(wakes)
         if banks is not None:
             rotated = (single.coreid + 1) % machine.config.num_cores
             priority = machine.ixbar._priority
@@ -688,7 +703,7 @@ class FastEngine:
             attr = "term_" + reason
             setattr(stats, attr, getattr(stats, attr) + count)
         machine._quiet = False
-        return True
+        return not deopt
 
     def _mem_guard(self, memspec, outs, n: int, gates: tuple = (),
                    hp: int = 0) -> bool:
@@ -724,45 +739,53 @@ class FastEngine:
                     return False
         return True
 
-    def _checkpoint_rmw(self, running: list, pc: int, ins, cycles: int,
-                        horizon: float):
-        """Replay both cycles of a merged lockstep SINC/SDEC RMW.
+    def _checkpoint_rmw(self, group: list, pc: int, ins, cycles: int,
+                        horizon: float, fetch: list = (), rec=None):
+        """Replay both cycles of a served group's merged SINC/SDEC RMW.
 
-        When every running core executes the same checkpoint
-        instruction through the broadcast I-Xbar, the reference merges
-        the requests into a *single* two-cycle read-modify-write:
-        broadcast fetch and synchronizer read phase in cycle T, write
-        phase / retire / wake latching in cycle T+1.  Neither cycle
-        touches anything but the checkpoint word, so this applies
+        When a group of cores fetches one checkpoint instruction, the
+        reference merges their requests into a *single* two-cycle
+        read-modify-write: fetch and synchronizer read phase in cycle
+        T, write phase / retire / wake latching in cycle T+1.  Neither
+        cycle touches anything but the checkpoint word, so this applies
         :func:`~repro.platform.synchronizer.checkpoint_rmw` to it,
         credits the trace and the synchronizer (per-checkpoint
-        statistics, listeners) for both cycles and advances the PCs.
-        Fetch accounting, idle-core credits and mode changes stay with
-        the burst.
+        statistics, listeners) for both cycles, advances the group's
+        PCs and lands its mode changes: a check-out that leaves the
+        barrier open puts the group to sleep, a release latches its
+        sleepers' wakeups.  Both bursts take their idle census first.
 
-        :param cycles: the clock at cycle T (the RMW ends at ``cycles +
-            2``, which must not pass ``horizon``).
-        :returns: ``(sleeps, wakes)`` — whether the running cores now
-            sleep at the barrier, and the sleeping cores its release
-            wakes — or None, with nothing mutated, when ``step()`` must
-            handle the instruction: no synchronizer, an event inside the
-            window, a split checkpoint address (per-core ``Rsync``), a
-            locked or out-of-range word, or a protocol violation about
-            to raise.
+        In cycle T+1 the group sits out fetch arbitration.  ``fetch`` is
+        the group the other running cores' arbitration serves then
+        (none in a lockstep burst) and ``rec`` its dispatch record: a
+        plain instruction runs, an LD/ST goes through :meth:`_mem_cycle`
+        barred from the checkpoint word's bank, whose port the write
+        phase holds.  Fetch accounting stays with the burst.
+
+        :param cycles: the clock before cycle T (the RMW ends at
+            ``cycles + 2``, which must not pass ``horizon``).
+        :returns: True when the running set changes (the group sleeps,
+            or sleepers will wake), False when it does not — or None,
+            with nothing mutated, when ``step()`` must run the window:
+            no synchronizer, an event inside it, a split checkpoint
+            address (per-core ``Rsync``), a locked or out-of-range
+            word, a protocol violation about to raise, or a write-cycle
+            fetch that is a STOP, a SINC/SDEC or an LD/ST that might
+            conflict or hits the checkpoint word's bank.
         """
         machine = self._machine
         sync = machine.synchronizer
         if sync is None or cycles + 2 > horizon:
             return None
-        address = checkpoint_address(running[0], ins)
-        for core in running:
+        address = checkpoint_address(group[0], ins)
+        for core in group:
             if checkpoint_address(core, ins) != address:
                 return None
         words = machine.dm.words
         if (address >= len(words)
                 or address in machine.dxbar.locked_addresses):
             return None
-        coreids = tuple([core.coreid for core in running])
+        coreids = tuple([core.coreid for core in group])
         checkins, checkouts = (((), coreids) if ins.op is Opcode.SDEC
                                else (coreids, ()))
         word, count, released, woken, ok = checkpoint_rmw(
@@ -770,6 +793,17 @@ class FastEngine:
             len(checkins), len(checkouts), machine.config.num_cores)
         if not ok:
             return None
+        if fetch:
+            # Touches neither the checkpoint word nor the group, so it
+            # may run before the write it shares the cycle with.
+            kind = rec[0]
+            if kind <= BURSTABLE:
+                run = rec[1]
+                for core in fetch:
+                    run(core)
+            elif kind != KIND_MEM or not self._mem_cycle(
+                    fetch, rec[1], machine.config.dm_bank_of(address)):
+                return None
         words[address] = word
         trace = machine.trace
         trace.dm_bank_reads += 1
@@ -778,15 +812,25 @@ class FastEngine:
         trace.sync_checkins += len(checkins)
         trace.sync_checkouts += len(checkouts)
         trace.sync_wakeups += released
-        for core in running:
+        for core in group:
             core.pc = pc + 1
         trace.cycles = cycles + 2         # listeners see the real clock
         sync.note_completion(cycles + 2, address, checkins, checkouts,
                              count, released, woken, True)
-        if not released:
-            return bool(checkouts), ()
-        return False, [cid for cid, core in enumerate(machine.cores)
-                       if woken >> cid & 1 and core.mode is CoreMode.SLEEPING]
+        if released:
+            # latched to the start of the cycle after the write
+            wake = machine._wake_next
+            for cid, core in enumerate(machine.cores):
+                if woken >> cid & 1 and core.mode is CoreMode.SLEEPING:
+                    wake.add(cid)
+            return bool(wake)
+        if checkouts:
+            barrier_sleeper = machine._barrier_sleeper
+            for core in group:
+                core.mode = CoreMode.SLEEPING
+                barrier_sleeper[core.coreid] = True
+            return True
+        return False
 
     def _divergent_burst(self, running: list, limit: int) -> bool:
         """Serialize divergent running cores through I-Xbar arbitration.
@@ -810,22 +854,32 @@ class FastEngine:
         full group ends the burst), so the conflict count, the lockstep
         histogram and the retire counts are credited once per burst.
 
-        Deopts to ``step()`` — committing nothing for that cycle — when
-        the winner would stop/sync/fault, when a served memory pattern
-        may lose D-Xbar arbitration, and for the (never exercised by
-        the bundled kernels) multi-bank divergence case.  Ends cleanly
-        at the horizon, when a served group leaves the bank, or when
-        broadcast cores re-converge, handing back to the lockstep
-        burst.
+        A winner group at ``SINC``/``SDEC`` replays its merged RMW
+        through :meth:`_checkpoint_rmw`.  In the write cycle the group
+        sits out: the rest arbitrate from the group's winner on, or
+        take one broadcast fetch (no conflict, no rotation) when they
+        share a PC.  That cycle breaks the fixed order, so the walk
+        restarts after it.  A check-out that sleeps or a release that
+        wakes ends the burst.
 
-        :returns: True if at least one cycle was consumed.
+        Deopts to ``step()`` — committing nothing for that cycle — when
+        the winner would stop or fault, when a served memory pattern
+        may lose D-Xbar arbitration, when :meth:`_checkpoint_rmw`
+        declines the RMW, and for the (never exercised by the bundled
+        kernels) multi-bank divergence case.  Ends cleanly at the
+        horizon, when a served group leaves the bank, or when broadcast
+        cores re-converge, handing back to the lockstep burst.
+
+        :returns: True if at least one cycle was consumed and no guard
+            failed.
         """
         machine = self._machine
         trace = machine.trace
         decoded = machine._decoded
         config = machine.config
+        clock = trace.cycles
         horizon = min(limit, self._next_event_cycle() - 1)
-        budget = horizon - trace.cycles
+        budget = horizon - clock
         if budget <= 0:
             return False
         bank_words = config.im_bank_words
@@ -838,6 +892,9 @@ class FastEngine:
             if not lo <= core.pc < hi:
                 self.stats.deopt_count += 1
                 return False
+        # Mode changes land only at a replayed RMW's write, and the burst
+        # ends there, so one census taken first covers every cycle.
+        halted, sleeping, waiting = self._idle_census()
         dxbar = machine.dxbar
         mem_ok = not (dxbar.locked_addresses or dxbar._groups)
         words = machine.dm.words
@@ -859,11 +916,16 @@ class FastEngine:
             for core in running:
                 groups.setdefault(core.pc, []).append(core)
         # group size -> cycles, for groups of two or more (lone winners
-        # are the rest); non-winner retirements per core id
+        # are the rest); retirements the fixed order does not credit,
+        # per core id
         sizes = [0] * (n + 1)
         extra = [0] * ncores
         dm_reads = dm_writes = 0
         executed = 0
+        seg = 0               # cycle where the current fixed order began
+        rmws = 0              # replayed checkpoint RMWs
+        held = 0              # their groups' write-cycle activity
+        quiet = 0             # their write cycles with no fetch conflict
         i = first
         deopt = False
         while executed < budget:
@@ -905,8 +967,53 @@ class FastEngine:
                 elif not self._mem_cycle(served, rec[1]):
                     deopt = True      # possible D-Xbar conflict
                     break
+            elif kind == KIND_SYNC:
+                if executed + 2 > budget:
+                    break             # the RMW's write is past the horizon
+                if not broadcast:
+                    served = [winner]
+                # the write cycle's fetch: the first core after the
+                # winner outside its group wins the bank
+                for j in range(i + 1, i + n):
+                    other = running[j % n]
+                    if not broadcast or other.pc != wpc:
+                        break
+                fetch = groups[other.pc] if broadcast else [other]
+                done = self._checkpoint_rmw(served, wpc, rec[2],
+                                            clock + executed, horizon,
+                                            fetch, decoded[other.pc])
+                if done is None:
+                    deopt = True
+                    break
+                # Credit the fixed order so far, then each of the two
+                # cycles' served groups (the RMW's group is active in
+                # both); the order restarts past the bank's new priority,
+                # which a broadcast fetch leaves as it was.
+                _credit_winners(extra, running, first, executed - seg)
+                rmws += 1
+                executed += 2
+                held += ns
+                for group in (served, fetch):
+                    if len(group) > 1:
+                        sizes[len(group)] += 1
+                    for core in group:
+                        extra[core.coreid] += 1
+                whole = len(fetch) == n - ns
+                quiet += whole
+                i = ((i if broadcast and whole else j) + 1) % n
+                first = i
+                seg = executed
+                if done:
+                    break             # the running set changes
+                if broadcast:
+                    groups = {}
+                    for core in running:
+                        groups.setdefault(core.pc, []).append(core)
+                if any(not lo <= core.pc < hi for core in running):
+                    break
+                continue
             else:
-                deopt = True          # synchronizer / mode change
+                deopt = True          # mode change
                 break
             executed += 1
             i += 1
@@ -947,15 +1054,12 @@ class FastEngine:
         if not executed:
             return False
 
-        # Winner k of the burst is running[(first + k) % n]; each served
-        # group's other members retired beside it.
-        rounds, rest = divmod(executed, n)
+        # Each served group's other members retired beside its winner.
+        _credit_winners(extra, running, first, executed - seg)
         retired_per_core = trace.retired_per_core
-        for j, core in enumerate(running):
-            cid = core.coreid
-            retired_per_core[cid] += (rounds + ((j - first) % n < rest)
-                                      + extra[cid])
-        priority[bank] = rotated[(first + executed - 1) % n]
+        for core in running:
+            retired_per_core[core.coreid] += extra[core.coreid]
+        priority[bank] = rotated[i - 1]
         served_total = executed
         histogram = trace.lockstep_histogram
         lone = executed
@@ -967,14 +1071,13 @@ class FastEngine:
                 histogram[size] = histogram.get(size, 0) + count
         if lone:
             histogram[1] = histogram.get(1, 0) + lone
-        halted, sleeping, waiting = self._idle_census()
-        trace.cycles += executed
-        trace.core_active_cycles += served_total
-        trace.core_stall_cycles += executed * n - served_total
+        trace.cycles = clock + executed
+        trace.core_active_cycles += served_total + held
+        trace.core_stall_cycles += executed * n - served_total - held
         trace.retired_ops += served_total
         trace.im_bank_accesses += executed
         trace.im_fetches_served += served_total
-        trace.im_conflict_cycles += executed
+        trace.im_conflict_cycles += executed - quiet
         if dm_reads or dm_writes:
             trace.dm_bank_reads += dm_reads
             trace.dm_bank_writes += dm_writes
@@ -985,12 +1088,15 @@ class FastEngine:
             trace.core_sleep_cycles += executed * sleeping
         if waiting:
             trace.sync_wait_cycles += executed * waiting
-        self.stats.divergent_bursts += 1
-        self.stats.divergent_cycles += executed
+        stats = self.stats
+        stats.divergent_bursts += 1
+        stats.divergent_cycles += executed
+        stats.sync_fused_rmws += rmws
         machine._quiet = False
-        return True
+        return not deopt
 
-    def _mem_cycle(self, running: list, info: tuple) -> bool:
+    def _mem_cycle(self, running: list, info: tuple,
+                   busy_bank: int = -1) -> bool:
         """Serve one lockstep LD/ST cycle inline when it provably wins.
 
         Handles the two request patterns that cannot lose D-Xbar
@@ -999,8 +1105,9 @@ class FastEngine:
         address (one broadcast bank read serves all).  Reproduces the
         counter updates, round-robin priority rotation and serve order
         of ``DataCrossbar._serve_bank`` exactly.  Returns False —
-        leaving all state untouched — on any other pattern (or any
-        out-of-range address), so the reference ``step()`` arbitrates
+        leaving all state untouched — on any other pattern, any
+        out-of-range address or any request to ``busy_bank`` (a port
+        the synchronizer holds), so the reference ``step()`` arbitrates
         the conflict or raises the fault.
         """
         machine = self._machine
@@ -1016,6 +1123,8 @@ class FastEngine:
         else:
             bank_words = config.dm_bank_words
             bankl = [addr // bank_words for addr in addrs]
+        if busy_bank in bankl:
+            return False
 
         n = len(running)
         trace = machine.trace

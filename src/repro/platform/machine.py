@@ -226,12 +226,7 @@ class Machine:
 
         # -- 1. latched wakeups and interrupts ---------------------------
         if self._wake_next:
-            for cid in self._wake_next:
-                core = cores[cid]
-                if core.mode is CoreMode.SLEEPING:
-                    core.mode = CoreMode.RUNNING
-                self._barrier_sleeper[cid] = False
-            self._wake_next.clear()
+            self._apply_wakes()
 
         due = self._irq_schedule.pop(cycle, None)
         if due:
@@ -385,6 +380,18 @@ class Machine:
                 probe.sample(self, active)
 
     # ------------------------------------------------------------------
+
+    def _apply_wakes(self) -> None:
+        """Wake the sleepers a barrier release latched last cycle (phase
+        1; the fast engine applies them too when nothing else lands on
+        the cycle)."""
+        cores = self.cores
+        for cid in self._wake_next:
+            core = cores[cid]
+            if core.mode is CoreMode.SLEEPING:
+                core.mode = CoreMode.RUNNING
+            self._barrier_sleeper[cid] = False
+        self._wake_next.clear()
 
     def _retire(self, cid: int) -> None:
         self.trace.retired_ops += 1

@@ -304,7 +304,8 @@ def summarize_manifest(path) -> str:
             if totals.get("fast_cycles"):
                 lines.append(
                     f"  fast engine: {totals['fast_cycles']} fast cycles, "
-                    f"{totals['fused_cycles']} fused over "
+                    f"{totals['cycles'] - totals['fast_cycles']} step() "
+                    f"cycles, {totals['fused_cycles']} fused over "
                     f"{totals['fused_blocks']} superblocks, "
                     f"{totals['deopt_count']} deopts")
             if totals.get("mem_fused_blocks"):
@@ -315,7 +316,8 @@ def summarize_manifest(path) -> str:
             if totals.get("sync_fused_rmws"):
                 lines.append(
                     f"  barrier fast path: {totals['sync_fused_rmws']} "
-                    "merged checkpoint RMWs replayed without step()")
+                    "merged checkpoint RMWs replayed by the lockstep and "
+                    "divergent bursts or the batch engine without step()")
             if totals.get("vector_cycles"):
                 lines.append(
                     f"  vectorized: {totals['vector_cycles']} batched "

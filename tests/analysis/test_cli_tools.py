@@ -1,5 +1,7 @@
 """CLI tests for the instrumentation subcommands."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -43,6 +45,19 @@ class TestInstrumentedCommands:
         assert main(["profile", "MRPDLN", "--samples", N]) == 0
         out = capsys.readouterr().out
         assert "f_main" in out or "f_dilate" in out
+
+    def test_trace_accounts_for_every_cycle(self, tmp_path, capsys):
+        target = str(tmp_path / "trace.json")
+        assert main(["trace", "MRPFLTR", "--samples", "8",
+                     "--out", target]) == 0
+        out = capsys.readouterr().out
+        total = int(re.search(r"over (\d+) cycles", out).group(1))
+        paths = re.search(r"(\d+) lockstep \+ (\d+) divergent \+ (\d+) "
+                          r"sleep cycles on fast paths, (\d+) step\(\) "
+                          r"cycles", out)
+        # the fast paths and what step() still ran add up to the run
+        assert sum(int(count) for count in paths.groups()) == total
+        assert "replayed by the lockstep and divergent bursts" in out
 
 
 class TestReport:

@@ -1,13 +1,15 @@
 """Protocol fuzzing: random well-formed barrier programs never deadlock.
 
 Generates random SPMD assembly with nested, conditionally-entered
-check-in/check-out regions and per-core data-dependent delays, then
-asserts the protocol invariants: the run completes, every check-in is
-matched by a check-out, every barrier wakes, and all checkpoint words are
-zero afterwards.  Each program also runs through every oracle: the
-reference ``step()`` engine must match the fast engine bit for bit, and
-the timing-free ISS must agree on what it can see.  In these programs
-subsets of cores check out and sleep, and releases wake them.
+check-in/check-out regions and per-core data-dependent delays — one knob
+spaces the cores' arrivals at a check-out, so they reach it one at a
+time — then asserts the protocol invariants: the run completes, every
+check-in is matched by a check-out, every barrier wakes, and all
+checkpoint words are zero afterwards.  Each program also runs through
+every oracle: the reference ``step()`` engine must match the fast engine
+bit for bit, and the timing-free ISS must agree on what it can see.  In
+these programs subsets of cores check out and sleep, and releases wake
+them.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -80,11 +82,29 @@ def _gen_body(draw, builder, depth):
                 _gen_region(draw, builder, depth - 1)
 
 
+def _gen_stagger(draw, builder):
+    """Per-core arrival: core c spins ``c * spacing`` loop iterations,
+    so the cores reach the next instruction one at a time."""
+    loop = builder.label("stagger")
+    skip = builder.label("sskip")
+    builder.emit("MOV R2, R0")
+    for _ in range(draw(st.integers(2, 4)) - 1):      # R2 = R0 * spacing
+        builder.emit("ADD R2, R2, R0")
+    builder.emit("CMPI R2, #0")
+    builder.emit(f"LBEQ {skip}")
+    builder.lines.append(f"{loop}:")
+    builder.emit("DEC R2")
+    builder.emit(f"LBNE {loop}")
+    builder.lines.append(f"{skip}:")
+
+
 def _gen_region(draw, builder, depth):
     index = builder.region_counter
     builder.region_counter += 1
     builder.emit(f"SINC #{index}")
     _gen_body(draw, builder, depth)
+    if draw(st.booleans()):
+        _gen_stagger(draw, builder)
     builder.emit(f"SDEC #{index}")
 
 

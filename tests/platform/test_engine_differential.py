@@ -10,6 +10,7 @@ the rotating priorities of both crossbars.
 
 Coverage: the three Fig. 3 kernels under six platform configurations
 (the four designs plus a 4-core machine and a broadcast-less ablation),
+and on a seeded ECG input under the four synchronizer configurations,
 interrupt-driven streaming with a periodic timer, scheduled one-shot
 interrupts, period-1/period-2 timer edges, incremental ``run_cycles``
 stepping, and the error paths (cycle limit, deadlock).
@@ -19,6 +20,7 @@ import random
 
 import pytest
 
+from repro.dsp.ecg import EcgConfig, generate_ecg
 from repro.kernels.layout import BANK_WORDS
 from repro.kernels.suite import (
     BENCHMARKS,
@@ -43,6 +45,14 @@ N_SAMPLES = 16
 def channels(n_samples, num_cores=8):
     return [[(1000 + 37 * core + 13 * i) % 4096 for i in range(n_samples)]
             for core in range(num_cores)]
+
+
+def ecg_channels(n_samples, num_cores=8, seed=5):
+    """Generated 8-lead ECG: unlike the ramps, its leads split the cores
+    at data-dependent branches, so they reach barriers apart."""
+    recording = generate_ecg(n_channels=8, n_samples=n_samples,
+                             config=EcgConfig(seed=seed))
+    return [recording.channel(core) for core in range(num_cores)]
 
 
 def run_pair(program, config, setup=None, max_cycles=200_000):
@@ -73,12 +83,26 @@ CONFIGS["with-sync-no-broadcast"] = (
                    im_broadcast=False, dm_broadcast=False), True)
 
 
-@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+#: the configurations whose programs carry sync points, run on ECG too
+SYNC_CONFIGS = ("barrier-only", "with-sync", "with-sync-4-cores",
+                "with-sync-no-broadcast")
+ECG_SAMPLES = 8
+#: the most cycles step() may still run on ECG with IM broadcast: the
+#: bursts replay every barrier exchange they can prove, divergent ones
+#: included, and apply latched wakeups themselves
+ECG_STEP_CEILING = 10
+
+
+@pytest.mark.parametrize("config_name,ecg", [
+    *(pytest.param(name, False, id=name) for name in sorted(CONFIGS)),
+    *(pytest.param(name, True, id=f"{name}-ecg") for name in SYNC_CONFIGS),
+])
 @pytest.mark.parametrize("bench", sorted(BENCHMARKS))
-def test_kernel_differential(bench, config_name):
+def test_kernel_differential(bench, config_name, ecg):
     config, sync_enabled = CONFIGS[config_name]
     program = build_program(bench, sync_enabled)
-    data = channels(N_SAMPLES, config.num_cores)
+    n_samples = ECG_SAMPLES if ecg else N_SAMPLES
+    data = (ecg_channels if ecg else channels)(n_samples, config.num_cores)
 
     def setup(machine):
         for core, channel in enumerate(data):
@@ -87,10 +111,13 @@ def test_kernel_differential(bench, config_name):
         if n_address is None:
             from repro.kernels.sqrt32 import N_SAMPLES_ADDRESS
             n_address = N_SAMPLES_ADDRESS
-        machine.dm.write(n_address, N_SAMPLES)
+        machine.dm.write(n_address, n_samples)
 
     fast, slow = run_pair(program, config, setup, max_cycles=2_000_000)
     assert_equivalent(fast, slow)
+    if ecg and config.im_broadcast:
+        step_cycles = fast.trace.cycles - fast.engine_stats.fast_cycles
+        assert step_cycles <= ECG_STEP_CEILING
 
 
 @pytest.mark.parametrize("design_name", sorted(DESIGNS))

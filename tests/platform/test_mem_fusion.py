@@ -193,6 +193,38 @@ def test_wrong_fact_single_core_never_misfires():
     assert fast.engine_stats.mem_fused_ops > 0
 
 
+# every core loads its own word of bank 0, after lockstep work the
+# burst runs first: a conflict no fast path may serve
+CONFLICTING_LD = """
+.entry main
+main:
+    MFSR R0, COREID
+    ADDI R1, R0, #1
+    ADDI R2, R1, #2
+    ADDI R3, R2, #3
+    LD R4, [R0]
+    ADD R5, R4, R3
+spin:
+    JMP spin
+"""
+
+
+def test_one_conflicting_load_is_one_deopt():
+    """The burst runs up to the LD, fails its guard and hands the cycle
+    straight to step(): one guard failure is one deopt, not a second
+    zero-cycle burst failing the same guard again."""
+    program = assemble(CONFLICTING_LD)
+    fast, slow = (Machine(program, PlatformConfig(num_cores=8),
+                          fast_engine=fast_engine)
+                  for fast_engine in (True, False))
+    for machine in (fast, slow):
+        machine.run_cycles(200)
+    assert_equivalent(fast, slow)
+    assert fast.trace.dm_conflict_cycles > 0
+    assert fast.engine_stats.lockstep_cycles > 0
+    assert fast.engine_stats.deopt_count == 1
+
+
 # ---------------------------------------------------------------------------
 # IRQs landing inside a would-be memory block
 # ---------------------------------------------------------------------------
@@ -355,6 +387,117 @@ def test_barrier_checkout_that_sleeps_ends_the_burst():
     assert fast.trace.sync_wait_cycles > 0
     # the check-in, the sleeping check-out and the releasing check-out
     assert fast.engine_stats.sync_fused_rmws == 3
+
+
+# After the shared check-in, cores 0..3 (group A, the first divergent
+# winner) check out and sleep; cores 4..7 (group B) fetch `{b_first}` in
+# the cycle A's check-out writes the checkpoint word, then release A.
+BARRIER_SPLIT = """
+.entry main
+isr:
+    RETI
+main:
+    LI R1, #isr
+    MTSR IVEC, R1
+    EI
+    LI R1, #30720           ; DEFAULT_SYNC_BASE
+    MTSR RSYNC, R1
+    LI R7, #{address}
+    MFSR R0, COREID
+    SINC #0
+    CMPI R0, #4
+    BLT group_a
+    {b_first}
+    ADD R3, R3, R3
+    SDEC #0
+    HALT
+group_a:
+    SDEC #0
+    ADD R3, R3, R3
+    HALT
+"""
+
+
+def run_split(b_first, config=None, address=0, setup=None):
+    program = assemble(BARRIER_SPLIT.format(b_first=b_first,
+                                            address=address))
+    fast, slow = run_pair(program, config or MEM_CONFIGS["default"],
+                          setup, max_cycles=10_000)
+    assert_equivalent(fast, slow)
+    assert fast.trace.sync_wakeups == 1
+    return fast
+
+
+@pytest.mark.parametrize("address,replayed", [(0, False), (1, True)])
+def test_divergent_checkout_beside_a_load(address, replayed):
+    """Group B's broadcast LD shares the write cycle of A's divergent
+    check-out.  With interleaved DM the checkpoint word (30720) sits in
+    bank 0: a load from word 0 needs the port the write holds, so the
+    burst leaves the exchange to step(); word 1 is in bank 1, so the
+    burst replays both cycles, the load included."""
+    config = PlatformConfig(num_cores=8, dm_interleaved=True)
+    fast = run_split("LD R2, [R7]", config, address)
+    stats = fast.engine_stats
+    assert stats.divergent_cycles > 0
+    # the bursts replay every exchange but a check-out left to step()
+    assert stats.sync_fused_rmws == fast.trace.sync_rmw_ops - (not replayed)
+    if not replayed:
+        assert fast.trace.dm_conflict_cycles > 0
+
+
+def test_divergent_checkout_beside_the_same_checkpoint():
+    """Group B fetches its own check-out of the same checkpoint in the
+    cycle A's check-out writes it: the reference refuses B's request
+    (the word's bank port is taken), so the burst declines, and step()
+    runs the exchange and the retry."""
+    fast = run_split("SDEC #0\n    HALT")
+    # only the lockstep check-in was replayed
+    assert fast.engine_stats.sync_fused_rmws == 1
+    assert fast.synchronizer.stats[30720].blocked_requests == 4
+
+
+@pytest.mark.parametrize("irq_on_wake", [False, True])
+def test_latched_wake_beside_an_interrupt(irq_on_wake):
+    """B's release, replayed by its lockstep burst in cycle W, latches
+    A's wakeup for cycle W+1.  The fast path applies it and runs that
+    cycle itself, unless an interrupt is due then: step() runs the
+    cycle, applying the wakeup before it delivers the interrupt to the
+    woken core 0."""
+    program = assemble(BARRIER_SPLIT.format(b_first="ADD R4, R4, R4",
+                                            address=0))
+    releases = []
+
+    def on_completion(cycle, completion):
+        if completion.barrier_released:
+            releases.append(cycle)
+
+    probe = Machine(program, MEM_CONFIGS["default"])
+    probe.synchronizer.listeners.append(on_completion)
+    probe.run(max_cycles=10_000)
+    (release,) = releases
+
+    fast, slow = (Machine(program, MEM_CONFIGS["default"],
+                          fast_engine=fast_engine)
+                  for fast_engine in (True, False))
+    if irq_on_wake:
+        for machine in (fast, slow):
+            machine.schedule_interrupt(release + 1, 0)
+    fast.run_cycles(release)
+    stats = fast.engine_stats
+    assert fast._wake_next
+    # every exchange was replayed by a burst: the shared check-in, A's
+    # divergent check-out and B's release
+    assert stats.sync_fused_rmws == 3
+    before = stats.fast_cycles
+    fast.run_cycles(1)
+    assert stats.fast_cycles - before == (not irq_on_wake)
+    for machine in (fast, slow):
+        machine.run(max_cycles=10_000)
+    assert_equivalent(fast, slow)
+    assert fast.trace.sync_wakeups == 1
+    # core 0 alone ran the handler's RETI
+    retired = fast.trace.retired_per_core
+    assert retired[0] - retired[1] == irq_on_wake
 
 
 def test_barrier_protocol_violation_raises_on_both_engines():

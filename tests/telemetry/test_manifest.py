@@ -99,6 +99,12 @@ class TestLoadAndSummarize:
         assert "cache hit rate" in text
         for outcome in outcomes:
             assert outcome.request.label in text
+        # what step() still ran, next to the fast-path breakdown
+        totals = json.loads(
+            (directory / "manifest.json").read_text())["telemetry_totals"]
+        step_cycles = totals["cycles"] - totals["fast_cycles"]
+        assert 0 <= step_cycles < totals["cycles"]
+        assert f"{step_cycles} step() cycles" in text
 
 
 class TestMemoryFusionColumns:
