@@ -179,7 +179,8 @@ class SweepExecutor:
         return tier
 
     def run(self, requests, manifest=None, observer=None,
-            trace_id: str | None = None) -> list[RunOutcome]:
+            trace_id: str | None = None,
+            digests=None) -> list[RunOutcome]:
         """Execute a :class:`SweepSpec` or request sequence.
 
         :param trace_id: optional trace identifier stamped on the
@@ -195,6 +196,9 @@ class SweepExecutor:
             ``on_outcome(outcome, record)`` called per outcome as it
             lands.  The service uses this to grow the request's span
             tree; observer errors are the caller's problem by design.
+        :param digests: the requests' :func:`request_digest` values, in
+            order, when the caller has computed them already (the
+            service does); ``None`` computes them here.
         :returns: outcomes in request order (deterministic regardless of
             worker completion order).
         """
@@ -207,8 +211,12 @@ class SweepExecutor:
         profile = ExecProfile() if self.profile else None
         self.last_profile = profile
 
-        with profile.phase("digest") if profile else nullcontext():
-            digests = [request_digest(request) for request in requests]
+        if digests is None:
+            with profile.phase("digest") if profile else nullcontext():
+                digests = [request_digest(request) for request in requests]
+        elif len(digests) != len(requests):
+            raise ValueError(f"{len(digests)} digests for "
+                             f"{len(requests)} requests")
         outcomes: list[RunOutcome | None] = [None] * len(requests)
 
         # cache phase — identical digests collapse onto one slot

@@ -1,9 +1,10 @@
 """Per-request span trees, rendered as Perfetto trace events.
 
 A :class:`SpanRecorder` collects the spans of **one** traced request as
-it crosses the service: the http receive, the job lifetime, the
-coalescer claim, the cache-tier lookup, the executor phase and every
-per-run execution.  Each span carries a :class:`~repro.obs.context
+it crosses the service: the http receive, the job lifetime, the queue
+wait, the request digests, the coalescer claim, the exec-lock wait,
+the cache-tier lookup, the executor phase, every per-run execution and
+the manifest.  Each span carries a :class:`~repro.obs.context
 .TraceContext` (so parentage is explicit) plus free-form args — digest,
 cache tier, outcome — and optional *links* to spans in other traces
 (a coalesced follower links to the owning submission's span).
@@ -36,12 +37,16 @@ SERVICE_PID = 2
 STAGE_TIDS = {
     "http": 0,
     "job": 1,
-    "coalesce": 2,
-    "cache": 3,
-    "execute": 4,
-    "run": 5,
+    "queue": 2,
+    "digest": 3,
+    "coalesce": 4,
+    "lock": 5,
+    "cache": 6,
+    "execute": 7,
+    "run": 8,
+    "manifest": 9,
 }
-_OTHER_TID = 9
+_OTHER_TID = 10
 
 
 @dataclass

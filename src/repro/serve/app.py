@@ -16,7 +16,14 @@ Each submitted :class:`~repro.exec.job.SweepSpec` becomes a
 4. outcomes stream into the job's manifest directory
    (``runs.jsonl`` + ``manifest.json``, the same artifacts
    ``repro sweep`` writes), which also backs the
-   ``GET /v1/sweeps/{id}/events`` stream.
+   ``GET /v1/sweeps/{id}/events`` stream: the job wakes its open
+   streams whenever a row lands and when it ends.
+
+The job table keeps queued and running jobs plus the most recent
+:data:`RETAINED_TERMINAL_JOBS` terminal ones.  A terminal job leaves
+memory only once its resource document (``job.json``) and span tree
+(``trace.json``) are on disk beside its manifest; lookups of a dropped
+id read them back as a :class:`StoredJob`.
 
 The HTTP front end lives in :mod:`repro.serve.routes`; this module is
 HTTP-free and directly usable in-process (the end-to-end tests do).
@@ -26,10 +33,13 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import threading
 import time
 import uuid
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -56,6 +66,14 @@ from .coalescer import InflightCoalescer
 QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
 TERMINAL = (DONE, FAILED)
 
+#: terminal jobs the table keeps in memory; older ones are answered
+#: from their ``job.json`` / ``trace.json`` / ``runs.jsonl``
+RETAINED_TERMINAL_JOBS = 64
+
+#: the shape of every job id (``uuid4().hex[:12]``); nothing else may
+#: name a path under ``<state_dir>/jobs``
+_JOB_ID = re.compile(r"[0-9a-f]{12}")
+
 
 class Job:
     """One submitted sweep and everything the API reports about it.
@@ -64,6 +82,10 @@ class Job:
     request's span tree, continuing the client's trace when the
     submission propagated one.  ``GET /v1/sweeps/{id}/trace`` exports
     it live; ``trace.json`` in the job directory persists it.
+
+    Open events streams register a waker (an ``asyncio.Event`` plus
+    its loop); the worker thread sets them whenever a run row lands in
+    ``runs.jsonl`` and when the job turns terminal.
     """
 
     def __init__(self, job_id: str, spec: SweepSpec, directory: Path, *,
@@ -83,6 +105,8 @@ class Job:
             trace_id=trace.trace_id if trace is not None else None)
         self.span = None                #: the job-lifetime span
         self.queue_wait: float | None = None
+        self._wakers: dict = {}         #: asyncio.Event -> its loop
+        self._wakers_lock = threading.Lock()
 
     @property
     def trace_id(self) -> str:
@@ -91,6 +115,45 @@ class Job:
     @property
     def terminal(self) -> bool:
         return self.status in TERMINAL
+
+    # -- events-stream wakers ---------------------------------------------
+
+    def watch(self, loop, event) -> None:
+        """Set ``event`` on ``loop`` at every new row and at the end."""
+        with self._wakers_lock:
+            self._wakers[event] = loop
+
+    def unwatch(self, event) -> None:
+        with self._wakers_lock:
+            self._wakers.pop(event, None)
+
+    @property
+    def watchers(self) -> int:
+        """Events streams currently registered."""
+        with self._wakers_lock:
+            return len(self._wakers)
+
+    def wake(self) -> None:
+        with self._wakers_lock:
+            wakers = list(self._wakers.items())
+        for event, loop in wakers:
+            try:
+                loop.call_soon_threadsafe(event.set)
+            except RuntimeError:        # that stream's loop has closed
+                pass
+
+    def note_row(self, writer: SweepManifestWriter,
+                 outcome: RunOutcome) -> None:
+        """Append one ``runs.jsonl`` row and wake the job's streams."""
+        writer.note_outcome(outcome)
+        self.completed += 1
+        self.wake()
+
+    def trace_document(self) -> dict:
+        """The ``GET /v1/sweeps/{id}/trace`` document."""
+        return self.recorder.to_perfetto(
+            meta={"job_id": self.id, "name": self.spec.name,
+                  "status": self.status})
 
     @staticmethod
     def _source(outcome: RunOutcome) -> str:
@@ -137,6 +200,45 @@ class Job:
         return doc
 
 
+class StoredJob:
+    """A terminal job dropped from the table, answered from its directory.
+
+    ``job.json`` holds the ``GET /v1/sweeps/{id}`` document and
+    ``trace.json`` the span tree, both as the live job last served
+    them; the events stream replays ``runs.jsonl``.
+    """
+
+    terminal = True
+
+    def __init__(self, directory: Path, doc: dict):
+        self.directory = directory
+        self.doc = doc
+        self.status = doc["status"]
+        self.error = doc["error"]
+
+    @classmethod
+    def load(cls, directory: Path) -> "StoredJob | None":
+        """The job persisted in ``directory``; ``None`` when there is none."""
+        try:
+            doc = json.loads((directory / "job.json").read_text())
+        except (OSError, ValueError):
+            return None
+        return cls(directory, doc)
+
+    def to_json(self, *, runs: bool = True) -> dict:
+        """The stored document; it has its ``runs`` rows (if any)."""
+        return self.doc
+
+    def trace_document(self) -> dict:
+        return json.loads((self.directory / "trace.json").read_text())
+
+    def watch(self, loop, event) -> None:
+        """Nothing will wake the stream: the job has ended."""
+
+    def unwatch(self, event) -> None:
+        pass
+
+
 class _ManifestProxy:
     """Adapter the shared executor streams owned-run rows through.
 
@@ -155,8 +257,7 @@ class _ManifestProxy:
 
     def note_outcome(self, outcome, record=None) -> None:
         remapped = replace(outcome, index=self._index_map[outcome.index])
-        self._writer.note_outcome(remapped)
-        self._job.completed += 1
+        self._job.note_row(self._writer, remapped)
 
     def finalize(self, **kwargs) -> None:
         pass
@@ -233,7 +334,13 @@ class SweepService:
                                       profile=profile)
         self.coalesce_timeout = coalesce_timeout
         self.coalescer = InflightCoalescer()
+        #: queued and running jobs plus the retained terminal ones
         self.jobs: dict[str, Job] = {}
+        #: ids of the persisted terminal jobs in ``jobs``, oldest first
+        self._retained: deque[str] = deque()
+        #: job counts over the service's lifetime, evicted jobs included
+        self._job_counts: dict[str, int] = {
+            "submitted": 0, QUEUED: 0, RUNNING: 0, DONE: 0, FAILED: 0}
         self.started_at = time.time()
         self._monotonic_start = time.monotonic()
         self._lock = threading.Lock()
@@ -293,6 +400,8 @@ class SweepService:
                                       runs=len(spec))
         with self._lock:
             self.jobs[job_id] = job
+            self._job_counts["submitted"] += 1
+            self._job_counts[QUEUED] += 1
         self._pool.submit(self._run_job, job)
         if http_span is not None:
             job.recorder.finish(http_span)
@@ -301,9 +410,21 @@ class SweepService:
              propagated=trace is not None)
         return job
 
-    def job(self, job_id: str) -> Job | None:
+    def job(self, job_id: str) -> Job | StoredJob | None:
+        """The job ``job_id`` names: live from the table, or a dropped
+        one from its directory.
+
+        Anything but 12 lowercase hex characters is unknown before the
+        filesystem is touched, so no id reaches outside
+        ``<state_dir>/jobs``.
+        """
+        if _JOB_ID.fullmatch(job_id) is None:
+            return None
         with self._lock:
-            return self.jobs.get(job_id)
+            job = self.jobs.get(job_id)
+        if job is not None:
+            return job
+        return StoredJob.load(self.state_dir / "jobs" / job_id)
 
     def run_payload(self, digest: str) -> dict | None:
         """Cache lookup for ``GET /v1/runs/{digest}``."""
@@ -316,41 +437,80 @@ class SweepService:
     # -- execution (worker thread) ---------------------------------------
 
     def _run_job(self, job: Job) -> None:
-        job.queue_wait = time.time() - job.submitted
+        started = time.time()
+        job.queue_wait = started - job.submitted
+        job.recorder.record("queue", "queue", job.span.context,
+                            job.span.start, started)
         self.instruments.observe_queue_wait(job.queue_wait)
         try:
             self._execute_job(job)
         except Exception as exc:    # noqa: BLE001 — job-level isolation
-            job.error = f"{type(exc).__name__}: {exc}"
-            job.status = FAILED
-            job.finished = time.time()
+            self._finish(job, FAILED, f"{type(exc).__name__}: {exc}")
             emit("job.failed", level=logging.ERROR, exc_info=exc,
                  trace_id=job.trace_id, job_id=job.id, error=job.error)
         finally:
-            if job.span is not None:
-                job.recorder.finish(job.span, status=job.status,
-                                    error=job.error)
             latency = (job.finished or time.time()) - job.submitted
             self.instruments.observe_request_latency(latency)
-            self._write_trace(job)
+            if self._persist(job):
+                self._retain(job)
             emit("job.done", trace_id=job.trace_id, job_id=job.id,
                  status=job.status, completed=job.completed,
                  queue_wait_ms=round(job.queue_wait * 1000, 3),
                  latency_ms=round(latency * 1000, 3))
 
-    def _write_trace(self, job: Job) -> None:
-        """Persist the job's span tree next to its manifest artifacts."""
+    def _set_status(self, job: Job, status: str) -> None:
+        with self._lock:
+            self._job_counts[job.status] -= 1
+            self._job_counts[status] += 1
+            job.status = status
+
+    def _finish(self, job: Job, status: str,
+                error: str | None = None) -> None:
+        """Turn ``job`` terminal, close its span, wake its streams."""
+        job.error = error
+        job.finished = time.time()
+        self._set_status(job, status)
+        job.recorder.finish(job.span, status=status, error=error)
+        job.wake()
+
+    def _persist(self, job: Job) -> bool:
+        """Write ``trace.json``, then ``job.json``, beside the manifest.
+
+        Both documents are final once the job span has closed.  False
+        when a write fails: observability must not fail the job, which
+        then stays in memory.
+        """
         try:
             job.directory.mkdir(parents=True, exist_ok=True)
-            doc = job.recorder.to_perfetto(
-                meta={"job_id": job.id, "name": job.spec.name})
-            path = job.directory / "trace.json"
-            path.write_text(json.dumps(doc, sort_keys=True) + "\n")
-        except OSError:
-            pass                     # observability must not fail the job
+            for name, doc in (("trace.json", job.trace_document()),
+                              ("job.json", job.to_json(runs=True))):
+                (job.directory / name).write_text(
+                    json.dumps(doc, sort_keys=True) + "\n")
+        except (OSError, TypeError, ValueError):
+            return False
+        return True
+
+    def _retain(self, job: Job) -> None:
+        """Count a persisted terminal job among the retained ones and
+        drop the oldest beyond :data:`RETAINED_TERMINAL_JOBS`."""
+        with self._lock:
+            self._retained.append(job.id)
+            while len(self._retained) > RETAINED_TERMINAL_JOBS:
+                del self.jobs[self._retained.popleft()]
+
+    @contextmanager
+    def _exec_slot(self, job: Job):
+        """Hold the executor lock; the wait for it is a ``lock`` span."""
+        with job.recorder.span("exec-lock wait", "lock",
+                               parent=job.span.context):
+            self._exec_lock.acquire()
+        try:
+            yield
+        finally:
+            self._exec_lock.release()
 
     def _execute_job(self, job: Job) -> None:
-        job.status = RUNNING
+        self._set_status(job, RUNNING)
         job.started = time.time()
         jctx = job.span.context
         recorder = job.recorder
@@ -358,8 +518,9 @@ class SweepService:
              runs=len(job.spec))
         metrics = SweepMetrics(total=len(job.spec))
         requests = list(job.spec.requests)
-        digests = [request_digest(request) for request in requests]
-        writer = SweepManifestWriter(job.directory, name=job.spec.name)
+        with recorder.span("digest", "digest", parent=jctx):
+            digests = [request_digest(request) for request in requests]
+            writer = SweepManifestWriter(job.directory, name=job.spec.name)
         observer = _ExecObserver(job, jctx)
 
         # claim each unique digest once, preserving first-seen order
@@ -385,11 +546,11 @@ class SweepService:
             if owned:
                 proxy = _ManifestProxy(job, writer,
                                        [first_index[d] for d in owned])
-                with self._exec_lock:
+                with self._exec_slot(job):
                     for outcome in self.executor.run(
                             [requests[first_index[d]] for d in owned],
                             manifest=proxy, observer=observer,
-                            trace_id=job.trace_id):
+                            trace_id=job.trace_id, digests=owned):
                         executed[outcome.digest] = outcome
         finally:
             # resolve every owned claim, crash or not — followers must
@@ -422,44 +583,43 @@ class SweepService:
         # assemble outcomes in request order; stream the rows the
         # executor did not write (followers + in-job duplicates)
         outcomes: list[RunOutcome] = []
-        for index, (request, digest) in enumerate(zip(requests, digests)):
-            base = executed.get(digest)
-            if base is not None:
-                if index == first_index[digest]:
-                    outcome = base
+        with recorder.span("manifest", "manifest", parent=jctx):
+            for index, (request, digest) in enumerate(zip(requests,
+                                                          digests)):
+                base = executed.get(digest)
+                if base is not None:
+                    if index == first_index[digest]:
+                        outcome = base
+                    else:
+                        outcome = replace(base, index=index, deduped=True)
+                        job.note_row(writer, outcome)
                 else:
-                    outcome = replace(base, index=index, deduped=True)
-                    writer.note_outcome(outcome)
-                    job.completed += 1
-            else:
-                payload, error = followed[digest]
-                outcome = RunOutcome(
-                    index, request, digest, payload=payload, error=error,
-                    coalesced=True, deduped=index != first_index[digest])
-                writer.note_outcome(outcome)
-                job.completed += 1
-            outcomes.append(outcome)
-            metrics.note(
-                index, request.label, cached=outcome.cached,
-                failed=outcome.error is not None,
-                elapsed=(outcome.elapsed
-                         if index == first_index[digest]
-                         and not outcome.coalesced else 0.0),
-                worker=outcome.worker,
-                batch=(outcome.payload or {}).get("batch_size", 0),
-                deduped=outcome.deduped, coalesced=outcome.coalesced,
-                cache_tier=getattr(outcome, "cache_tier", None))
+                    payload, error = followed[digest]
+                    outcome = RunOutcome(
+                        index, request, digest, payload=payload,
+                        error=error, coalesced=True,
+                        deduped=index != first_index[digest])
+                    job.note_row(writer, outcome)
+                outcomes.append(outcome)
+                metrics.note(
+                    index, request.label, cached=outcome.cached,
+                    failed=outcome.error is not None,
+                    elapsed=(outcome.elapsed
+                             if index == first_index[digest]
+                             and not outcome.coalesced else 0.0),
+                    worker=outcome.worker,
+                    batch=(outcome.payload or {}).get("batch_size", 0),
+                    deduped=outcome.deduped, coalesced=outcome.coalesced,
+                    cache_tier=getattr(outcome, "cache_tier", None))
 
-        metrics.finish()
-        writer.finalize(metrics=metrics, cache=self.cache, spec=job.spec,
-                        trace_id=job.trace_id,
-                        profile=(self.executor.last_profile
-                                 if owned else None))
+            metrics.finish()
+            writer.finalize(metrics=metrics, cache=self.cache,
+                            spec=job.spec, trace_id=job.trace_id,
+                            profile=(self.executor.last_profile
+                                     if owned else None))
         job.metrics = metrics
         job.outcomes = outcomes
         job.completed = len(outcomes)
-        job.status = DONE
-        job.finished = time.time()
         with self._lock:
             totals = self._runs_total
             totals["total"] += len(outcomes)
@@ -476,6 +636,7 @@ class SweepService:
                 reason = (outcome.payload or {}).get("batch_refused")
                 if reason:
                     refused[reason] = refused.get(reason, 0) + 1
+        self._finish(job, DONE)
 
     def _follow(self, job: Job, claim, digest: str, request, index: int,
                 writer: SweepManifestWriter, observer,
@@ -520,10 +681,11 @@ class SweepService:
              owner_trace_id=owner.trace_id if owner else None)
         try:
             proxy = _ManifestProxy(job, writer, [index])
-            with self._exec_lock:
+            with self._exec_slot(job):
                 for outcome in self.executor.run([request], manifest=proxy,
                                                  observer=observer,
-                                                 trace_id=job.trace_id):
+                                                 trace_id=job.trace_id,
+                                                 digests=[digest]):
                     executed[digest] = outcome
         finally:
             outcome = executed.get(digest)
@@ -548,13 +710,11 @@ class SweepService:
 
     def _service_metrics(self) -> dict:
         with self._lock:
-            jobs = list(self.jobs.values())
+            jobs = dict(self._job_counts)
             runs = dict(self._runs_total)
-        by_status = {status: sum(1 for job in jobs if job.status == status)
-                     for status in (QUEUED, RUNNING, DONE, FAILED)}
         return {
             "uptime_seconds": round(self.uptime_seconds, 3),
-            "jobs": {"submitted": len(jobs), **by_status},
+            "jobs": jobs,
             "runs": runs,
         }
 

@@ -94,8 +94,9 @@ class Response:
 
     :ivar payload: JSON-shaped object (serialized with sorted keys);
         ignored when ``stream`` or ``text`` is set.
-    :ivar stream: async iterator of ``bytes`` chunks; sent with
-        ``Transfer-Encoding: chunked``.
+    :ivar stream: async generator of ``bytes`` chunks; sent with
+        ``Transfer-Encoding: chunked`` and closed once the response
+        ends, also when the client went away mid-stream.
     :ivar text: raw pre-rendered body (e.g. the Prometheus exposition
         format); set ``content_type`` to match.
     """
@@ -210,14 +211,17 @@ async def write_response(writer: asyncio.StreamWriter,
         return
     headers["Transfer-Encoding"] = "chunked"
     writer.write(_head(status, reason, headers))
-    await writer.drain()
-    async for chunk in response.stream:
-        if not chunk:
-            continue
-        writer.write(f"{len(chunk):x}\r\n".encode() + chunk + b"\r\n")
+    try:
         await writer.drain()
-    writer.write(b"0\r\n\r\n")
-    await writer.drain()
+        async for chunk in response.stream:
+            if not chunk:
+                continue
+            writer.write(f"{len(chunk):x}\r\n".encode() + chunk + b"\r\n")
+            await writer.drain()
+        writer.write(b"0\r\n\r\n")
+        await writer.drain()
+    finally:
+        await response.stream.aclose()
 
 
 def _head(status: int, reason: str, headers: dict[str, str]) -> bytes:

@@ -22,6 +22,14 @@ GET       ``/v1/sweeps/{id}/events``  chunked stream of run-row lines
 GET       ``/v1/runs/{digest}``       one cached result, by digest
 PUT       ``/v1/runs/{digest}``       peer write-through into the cache
 ========  ==========================  ==================================
+
+The events stream is pushed, not polled: it replays ``runs.jsonl`` from
+the start, then awaits the job's wakeup (set when a row lands and when
+the job ends) and sends what is new.  ``runs.jsonl`` stays the durable
+record, so re-requesting the stream resumes it.  A job id that is not
+12 lowercase hex characters is a 404 before anything reads the disk;
+a terminal job dropped from the service's table is answered from its
+directory (see :meth:`~repro.serve.app.SweepService.job`).
 """
 
 from __future__ import annotations
@@ -39,10 +47,6 @@ from ..kernels import BENCHMARKS
 from .app import SweepService
 from .http import ApiError, Request, Response, Router
 
-#: polling cadence of the events stream (the manifest writer flushes
-#: every row, so this bounds added latency, not correctness)
-EVENTS_POLL_SECONDS = 0.05
-
 _DIGEST_CHARS = set("0123456789abcdef")
 
 
@@ -51,6 +55,38 @@ def _check_digest(digest: str) -> str:
         raise ApiError(400, "bad_digest",
                        "digest must be 64 lowercase hex characters")
     return digest
+
+
+async def _events(job):
+    """The job's ``runs.jsonl`` rows as they land, then the end marker.
+
+    The waker is registered for the stream's whole life and removed in
+    ``finally``, which also runs when the writer closes the stream
+    because the client went away.
+    """
+    runs_path = job.directory / "runs.jsonl"
+    offset = 0
+    wake = asyncio.Event()
+    job.watch(asyncio.get_running_loop(), wake)
+    try:
+        while True:
+            wake.clear()               # before reading: no wakeup is lost
+            terminal = job.terminal    # read *before* draining rows
+            if runs_path.is_file():
+                with open(runs_path, "rb") as handle:
+                    handle.seek(offset)
+                    fresh = handle.read()
+                complete = fresh[:fresh.rfind(b"\n") + 1]
+                if complete:
+                    offset += len(complete)
+                    yield complete
+            if terminal:
+                break
+            await wake.wait()
+    finally:
+        job.unwatch(wake)
+    end = {"event": "end", "status": job.status, "error": job.error}
+    yield (json.dumps(end, sort_keys=True) + "\n").encode()
 
 
 def build_router(service: SweepService) -> Router:
@@ -102,35 +138,10 @@ def build_router(service: SweepService) -> Router:
         return Response(_job(job_id).to_json(runs=True))
 
     async def sweep_trace(request: Request, job_id: str) -> Response:
-        job = _job(job_id)
-        return Response(job.recorder.to_perfetto(
-            meta={"job_id": job.id, "name": job.spec.name,
-                  "status": job.status}))
+        return Response(_job(job_id).trace_document())
 
     async def sweep_events(request: Request, job_id: str) -> Response:
-        job = _job(job_id)
-
-        async def stream():
-            runs_path = job.directory / "runs.jsonl"
-            offset = 0
-            while True:
-                terminal = job.terminal    # read *before* draining rows
-                if runs_path.is_file():
-                    with open(runs_path, "rb") as handle:
-                        handle.seek(offset)
-                        fresh = handle.read()
-                    if fresh:
-                        complete = fresh[:fresh.rfind(b"\n") + 1]
-                        offset += len(complete)
-                        if complete:
-                            yield complete
-                if terminal:
-                    break
-                await asyncio.sleep(EVENTS_POLL_SECONDS)
-            end = {"event": "end", "status": job.status, "error": job.error}
-            yield (json.dumps(end, sort_keys=True) + "\n").encode()
-
-        return Response(stream=stream(),
+        return Response(stream=_events(_job(job_id)),
                         content_type="application/x-ndjson")
 
     async def get_run(request: Request, digest: str) -> Response:

@@ -4,7 +4,8 @@ The acceptance invariant of the observability plane, asserted here:
 a single client submission produces
 
 a. a span tree that validates against the Perfetto checker and names
-   every stage (http -> job -> coalesce -> cache -> execute -> run),
+   every stage (http -> job -> queue -> digest -> coalesce -> lock ->
+   cache -> execute -> run -> manifest),
 b. structured log lines sharing the submission's trace id, and
 c. exactly one new observation in the request-latency histogram.
 
@@ -46,7 +47,8 @@ check_prom = importlib.util.module_from_spec(_SPEC)
 sys.modules.setdefault("check_prom", check_prom)
 _SPEC.loader.exec_module(check_prom)
 
-STAGES = {"http", "job", "coalesce", "cache", "execute", "run"}
+STAGES = {"http", "job", "queue", "digest", "coalesce", "lock", "cache",
+          "execute", "run", "manifest"}
 LOG_EVENTS = {"job.submit", "job.start", "coalesce.claim",
               "run.outcome", "job.done"}
 
@@ -283,9 +285,10 @@ class TestBatchRefusedCounter:
         real_run = service.executor.run
 
         def marking_run(requests, manifest=None, observer=None,
-                        trace_id=None):
+                        trace_id=None, digests=None):
             outcomes = real_run(requests, manifest=manifest,
-                                observer=observer, trace_id=trace_id)
+                                observer=observer, trace_id=trace_id,
+                                digests=digests)
             executed = [o for o in outcomes
                         if not (o.cached or o.deduped or o.coalesced)]
             executed[0].payload["batch_refused"] = "irq"
@@ -363,7 +366,7 @@ class TestCrashHandoff:
                                 follower_claimed=threading.Event())
 
         def flaky_run(requests, manifest=None, observer=None,
-                      trace_id=None):
+                      trace_id=None, digests=None):
             if state.crashes_left > 0:
                 state.crashes_left -= 1
                 # die only once a follower is waiting on the claim, so
@@ -371,7 +374,8 @@ class TestCrashHandoff:
                 assert state.follower_claimed.wait(30.0)
                 raise RuntimeError("owner died mid-run")
             return real_run(requests, manifest=manifest,
-                            observer=observer, trace_id=trace_id)
+                            observer=observer, trace_id=trace_id,
+                            digests=digests)
 
         service.executor.run = flaky_run
         with service:
