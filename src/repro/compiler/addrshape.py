@@ -2,8 +2,8 @@
 
 Memory-fused superblocks (:mod:`repro.cpu.blocks`) need to know, at
 block-build time, which LD/ST instructions are *statically conflict-free*
-on the data crossbar.  The two patterns the engine's ``_mem_cycle`` serves
-without arbitration are
+on the data crossbar.  The two patterns the engine's group LD/ST path
+(``FastEngine._mem_group``) serves without arbitration are
 
 - **uniform** accesses — every core computes the same effective address
   (a broadcast read of a shared global), and

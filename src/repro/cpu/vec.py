@@ -188,7 +188,7 @@ def _inline_mem(w: Writer, j: int, info: tuple, fact: int,
     :class:`MemGuardError` before anything is mutated if it lied) and
     gathers loads; scatters and priority rotations are deferred past
     every guard.  Mirrors the arbitration outcomes of the scalar
-    engine's ``_mem_cycle`` exactly.
+    engine's group LD/ST path (``_mem_group``) exactly.
 
     ``masked`` emits the predicated-hammock form: deferred scatters and
     priority rotations touch only the rows in ``_hrows`` (the runs whose
@@ -751,8 +751,9 @@ class _FamilyRunner:
         self.worklist.append(_Group(idx, pc))
 
     def _mem(self, g: _Group, info: tuple) -> bool:
-        """One vectorized lockstep LD/ST cycle; mirrors the scalar
-        engine's ``_mem_cycle`` patterns across every run of the group.
+        """One vectorized lockstep LD/ST cycle; mirrors the patterns the
+        scalar engine's ``_mem_group`` serves across every run of the
+        group.
 
         :returns: True when the cycle was served (the caller advances
             the PC); False when the group was split or peeled instead.

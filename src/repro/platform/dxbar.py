@@ -16,6 +16,11 @@ Two mechanisms from the paper are layered on top:
   already been served are stalled until *all* of them have been served, so
   the conflict does not break lockstep.  Without the policy (baseline
   design), served cores continue immediately and the cores drift apart.
+
+The serve rule itself — which request of one bank wins one cycle, who
+else that bank read serves, where the bank's priority moves — is one
+pure function, :func:`serve_bank`, shared by :meth:`DataCrossbar.arbitrate`
+and the fast engine's replays.
 """
 
 from __future__ import annotations
@@ -24,6 +29,38 @@ from dataclasses import dataclass
 
 from .config import PlatformConfig
 from .trace import ActivityTrace
+
+
+def serve_bank(priority: int, cores, addresses, writes, broadcast: bool,
+               num_cores: int) -> tuple[list[int], int]:
+    """The D-Xbar's serve rule for one bank and one cycle.
+
+    ``cores``, ``addresses`` and ``writes`` describe the bank's requests,
+    one position each.  The winner is the first requesting core at or
+    after ``priority`` in cyclic core-id order.  A write serves the
+    winner alone; a read serves the winner plus, under DM ``broadcast``,
+    every other read of the same address.  The bank's priority becomes
+    ``winner + 1``.  Returns the served positions, winner first, and that
+    priority.
+
+    A single requester is always served and moves the priority to
+    ``core + 1``; the fast engine's group and lone-winner LD/ST paths
+    apply that case inline once every request has a bank of its own.
+    """
+    win = 0
+    best = num_cores
+    for position, core in enumerate(cores):
+        key = (core - priority) % num_cores
+        if key < best:
+            win, best = position, key
+    served = [win]
+    if broadcast and not writes[win]:
+        address = addresses[win]
+        for position, other in enumerate(addresses):
+            if (other == address and position != win
+                    and not writes[position]):
+                served.append(position)
+    return served, (cores[win] + 1) % num_cores
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,9 +118,11 @@ class DataCrossbar:
         self.locked_addresses: set[int] = set()
         #: observers called as ``listener(cycle, denied_requests)`` on every
         #: cycle that refuses at least one request (``denied_requests`` is a
-        #: tuple of the losing :class:`DmRequest`).  The fast engine serves
-        #: only provably conflict-free patterns inline, so every conflict
-        #: arbitrates here and listeners see them all at no cost to bursts.
+        #: tuple of the losing :class:`DmRequest`, in core-id order).  The
+        #: fast engine's lockstep burst replays synchronous one-bank
+        #: conflicts itself and calls these with the same arguments, cycle
+        #: by cycle; every other conflict arbitrates here.  Listeners see
+        #: them all, at no cost to the bursts when none is attached.
         self.conflict_listeners: list = []
 
     @property
@@ -175,31 +214,20 @@ class DataCrossbar:
     def _serve_bank(self, bank: int, reqs: list[DmRequest]) -> dict[int, int | None]:
         """Serve one bank for one cycle; returns core -> read value/None."""
         config, trace, memory = self._config, self._trace, self._memory
-        winner_core = min(
-            (r.core for r in reqs),
-            key=lambda c: (c - self._priority[bank]) % config.num_cores)
-        self._priority[bank] = (winner_core + 1) % config.num_cores
-        winner = next(r for r in reqs if r.core == winner_core)
-
-        served: dict[int, int | None] = {}
+        served, self._priority[bank] = serve_bank(
+            self._priority[bank], [r.core for r in reqs],
+            [r.address for r in reqs], [r.is_write for r in reqs],
+            config.dm_broadcast, config.num_cores)
+        winner = reqs[served[0]]
         if winner.is_write:
             memory.write(winner.address, winner.value)
             trace.dm_bank_writes += 1
             trace.dm_served += 1
-            served[winner.core] = None
-        else:
-            value = memory.read(winner.address)
-            trace.dm_bank_reads += 1
-            if config.dm_broadcast:
-                # Broadcast: every read of one address is served at once.
-                for req in reqs:
-                    if not req.is_write and req.address == winner.address:
-                        served[req.core] = value
-                        trace.dm_served += 1
-            else:
-                served[winner.core] = value
-                trace.dm_served += 1
-        return served
+            return {winner.core: None}
+        value = memory.read(winner.address)
+        trace.dm_bank_reads += 1
+        trace.dm_served += len(served)
+        return {reqs[position].core: value for position in served}
 
     # ------------------------------------------------------------------
     # Lock management (driven by the synchronizer)

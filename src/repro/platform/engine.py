@@ -12,10 +12,14 @@ running core shares one PC, no request is outstanding, and nothing is
 pending in the synchronizer, a whole cycle collapses to "run one
 predecoded closure once per running core" — or, for a lockstep LD/ST
 whose requests provably win D-Xbar arbitration (distinct banks, or one
-broadcast read), one inline pass over the banks.  The engine executes
-the entire run of such instructions in a tight loop and credits the
-activity counters in one batched update — the software mirror of a
-broadcast fetch serving all cores from a single IM bank read.
+broadcast read), one inline pass over the banks.  A lockstep LD/ST whose
+requests conflict in one bank is replayed cycle by cycle under the
+enhanced D-Xbar policy, which holds the served cores until the whole
+group is served.  The engine executes the entire run of such
+instructions in a tight loop and credits the activity counters in one
+batched update — the software mirror of a broadcast fetch serving all
+cores from a single IM bank read.  Every D-Xbar serve goes through the
+crossbar's own rule, :func:`~repro.platform.dxbar.serve_bank`.
 
 **Superblock fusion** — inside a burst the engine still pays one closure
 call per instruction per core.  :mod:`repro.cpu.blocks` compiles every
@@ -86,6 +90,7 @@ from ..cpu.predecode import BURSTABLE, KIND_JUMP, KIND_MEM, KIND_SEQ, \
     KIND_SYNC
 from ..cpu.state import CoreMode
 from ..isa.spec import Opcode
+from .dxbar import DmRequest, serve_bank
 from .synchronizer import checkpoint_rmw
 
 INFINITY = float("inf")
@@ -140,10 +145,11 @@ class EngineStats:
     #: cycles covered by fused blocks (a subset of ``lockstep_cycles``)
     fused_cycles: int = 0
     #: bursts abandoned by a guard check — a STOP instruction, a
-    #: memory pattern that may lose D-Xbar arbitration, a divergent
-    #: checkpoint RMW the replay declines, an off-image or multi-bank
-    #: PC.  The abandoned cycle is replayed by the reference ``step()``,
-    #: which the burst hands it to at once.  Burst endings that need no
+    #: memory pattern that may lose D-Xbar arbitration and that the
+    #: conflict replay declines, a divergent checkpoint RMW the replay
+    #: declines, an off-image or multi-bank PC.  The abandoned cycle is
+    #: replayed by the reference ``step()``, which the burst hands it to
+    #: at once.  Burst endings that need no
     #: fallback (horizon, convergence, divergence, a served group
     #: leaving its IM bank, a predicated block's cores disagreeing on an
     #: arm, a checkpoint RMW that sleeps or wakes cores, a lockstep one
@@ -384,11 +390,13 @@ class FastEngine:
         idle core accrues its sleep/halt cycle.  A lockstep LD/ST whose
         requests provably win arbitration (distinct banks, or one
         broadcast read address) is served inline through
-        :meth:`_mem_cycle`, and a lockstep SINC/SDEC through
+        :meth:`_mem_group`; one whose requests conflict in one bank is
+        replayed through :meth:`_mem_replay` when the policy holds
+        synchronous conflicts; a lockstep SINC/SDEC goes through
         :meth:`_checkpoint_rmw` (ending the burst when it sleeps or
-        wakes cores); everything else — mode changes, PC divergence,
-        bank conflicts — ends the burst, as does the cycle before the
-        next timer/IRQ event.
+        wakes cores).  Everything else — mode changes, PC divergence,
+        other bank conflicts — ends the burst, as does the cycle before
+        the next timer/IRQ event.
 
         Whole straight-line runs are advanced by **fused superblocks**
         (:mod:`repro.cpu.blocks`): one fused call per running core
@@ -437,6 +445,9 @@ class FastEngine:
         nb = config.dm_banks
         bw = config.dm_bank_words
         dm_reads = dm_writes = dm_served = 0
+        # synchronous D-Xbar conflicts replayed in place: the cycles they
+        # add beyond one per LD/ST, and their held cores' stall cycles
+        held_cycles = stalled = 0
         mem_blocks = 0
         mem_ops = 0
         terms: dict = {}
@@ -453,6 +464,8 @@ class FastEngine:
         deopt = False
         n = len(running)
         single = running[0] if n == 1 else None
+        coreids = [core.coreid for core in running]
+        reads = (False,) * n
         # A single requester without IM broadcast is served through the
         # per-bank arbitration path, which rotates the bank's priority
         # to (winner + 1) on every fetch; track the banks it touches so
@@ -540,18 +553,13 @@ class FastEngine:
                             continue      # arm not taken: no access
                         served_ops += 1
                         if uniform and n > 1:
+                            # one broadcast read of a shared address
                             addr = outs[0][j]
                             bank = (addr % nb if interleaved
                                     else addr // bw)
-                            base = dm_priority[bank]
-                            winner = running[0].coreid
-                            best = (winner - base) % ncores
-                            for core in running:
-                                key = (core.coreid - base) % ncores
-                                if key < best:
-                                    winner = core.coreid
-                                    best = key
-                            dm_priority[bank] = (winner + 1) % ncores
+                            dm_priority[bank] = serve_bank(
+                                dm_priority[bank], coreids, (addr,) * n,
+                                reads, True, ncores)[1]
                             dm_reads += 1
                         else:
                             for core, out in zip(running, outs):
@@ -628,9 +636,17 @@ class FastEngine:
                         if diverged:
                             break
             elif kind == KIND_MEM and mem_ok:
-                if not self._mem_cycle(running, rec[1]):
-                    deopt = True      # possible conflict: slow path
-                    break
+                if not self._mem_group(running, rec[1]):
+                    # a synchronous one-bank conflict is replayed in
+                    # place; any other pattern goes to step()
+                    replayed = self._mem_replay(running, rec[1], pc,
+                                                cycles, horizon)
+                    if replayed is None:
+                        deopt = True
+                        break
+                    cycles += replayed[0] - 1
+                    held_cycles += replayed[0] - 1
+                    stalled += replayed[1]
                 cycles += 1
                 executed += 1
                 if banks is not None:
@@ -661,11 +677,14 @@ class FastEngine:
 
         # Batched accounting — the per-cycle counters of `executed`
         # identical lockstep cycles plus `n_syncs` two-cycle checkpoint
-        # RMWs, applied in one update.
-        busy = executed + 2 * n_syncs
+        # RMWs and the replayed conflicts' extra cycles, applied in one
+        # update.
+        busy = executed + 2 * n_syncs + held_cycles
         fetched = executed + n_syncs
         trace.cycles = cycles
-        trace.core_active_cycles += busy * n
+        trace.core_active_cycles += busy * n - stalled
+        if stalled:
+            trace.core_stall_cycles += stalled
         trace.retired_ops += fetched * n
         retired = trace.retired_per_core
         for core in running:
@@ -758,7 +777,7 @@ class FastEngine:
         In cycle T+1 the group sits out fetch arbitration.  ``fetch`` is
         the group the other running cores' arbitration serves then
         (none in a lockstep burst) and ``rec`` its dispatch record: a
-        plain instruction runs, an LD/ST goes through :meth:`_mem_cycle`
+        plain instruction runs, an LD/ST goes through :meth:`_mem_group`
         barred from the checkpoint word's bank, whose port the write
         phase holds.  Fetch accounting stays with the burst.
 
@@ -801,7 +820,7 @@ class FastEngine:
                 run = rec[1]
                 for core in fetch:
                     run(core)
-            elif kind != KIND_MEM or not self._mem_cycle(
+            elif kind != KIND_MEM or not self._mem_group(
                     fetch, rec[1], machine.config.dm_bank_of(address)):
                 return None
         words[address] = word
@@ -850,7 +869,7 @@ class FastEngine:
         are kept as a PC -> cores map, updated only for the cores that
         moved.  A lone winner's LD/ST is served inline — a single
         requester always wins its D-Xbar bank — and a group's through
-        :meth:`_mem_cycle`.  Every served cycle is a conflict cycle (a
+        :meth:`_mem_group`.  Every served cycle is a conflict cycle (a
         full group ends the burst), so the conflict count, the lockstep
         histogram and the retire counts are credited once per burst.
 
@@ -964,7 +983,7 @@ class FastEngine:
                         regs[rd] = words[addr]
                         dm_reads += 1
                     winner.pc = wpc + 1
-                elif not self._mem_cycle(served, rec[1]):
+                elif not self._mem_group(served, rec[1]):
                     deopt = True      # possible D-Xbar conflict
                     break
             elif kind == KIND_SYNC:
@@ -1095,73 +1114,156 @@ class FastEngine:
         machine._quiet = False
         return not deopt
 
-    def _mem_cycle(self, running: list, info: tuple,
+    def _mem_group(self, group: list, info: tuple,
                    busy_bank: int = -1) -> bool:
-        """Serve one lockstep LD/ST cycle inline when it provably wins.
+        """Serve one LD/ST cycle of a group at one PC when it provably wins.
 
-        Handles the two request patterns that cannot lose D-Xbar
-        arbitration: every core hitting a distinct bank (the SPMD
-        private-buffer pattern) and every core reading one shared
-        address (one broadcast bank read serves all).  Reproduces the
-        counter updates, round-robin priority rotation and serve order
-        of ``DataCrossbar._serve_bank`` exactly.  Returns False —
-        leaving all state untouched — on any other pattern, any
-        out-of-range address or any request to ``busy_bank`` (a port
-        the synchronizer holds), so the reference ``step()`` arbitrates
-        the conflict or raises the fault.
+        One pass works out every core's effective address and bank.  The
+        cycle is conflict-free when the banks are pairwise distinct (a
+        bitmask: each core is its bank's single requester, the case of
+        :func:`~repro.platform.dxbar.serve_bank` applied inline) or when
+        every core reads one shared address under DM broadcast (one bank
+        read, winner from the kernel).  Only then does it commit, with
+        ``DataCrossbar``'s counters and priority rotation.  Returns False,
+        nothing mutated, on any other pattern, an out-of-range address or
+        a request to ``busy_bank`` (a port the synchronizer holds).
         """
         machine = self._machine
         config = machine.config
         is_write, rs, imm, rd = info
         words = machine.dm.words
-        addrs = [(core.regs[rs] + imm) & 0xFFFF for core in running]
-        if max(addrs) >= len(words):
-            return False    # out of range: let the reference step fault
-        if config.dm_interleaved:
-            nb = config.dm_banks
-            bankl = [addr % nb for addr in addrs]
-        else:
-            bank_words = config.dm_bank_words
-            bankl = [addr // bank_words for addr in addrs]
-        if busy_bank in bankl:
+        size = len(words)
+        interleaved = config.dm_interleaved
+        nb = config.dm_banks
+        bw = config.dm_bank_words
+        staged = []
+        mask = 0
+        for core in group:
+            addr = (core.regs[rs] + imm) & 0xFFFF
+            if addr >= size:
+                return False    # out of range: let the reference step fault
+            bank = addr % nb if interleaved else addr // bw
+            staged.append((core, addr, bank))
+            mask |= 1 << bank
+        if busy_bank >= 0 and mask >> busy_bank & 1:
             return False
-
-        n = len(running)
+        n = len(group)
         trace = machine.trace
         priority = machine.dxbar._priority
         ncores = config.num_cores
-        if len(set(bankl)) != n:
+        if mask.bit_count() != n:
             if is_write or not config.dm_broadcast:
                 return False
-            addr = addrs[0]
-            for other in addrs:
-                if other != addr:
+            _, addr, bank = staged[0]
+            for item in staged:
+                if item[1] != addr:
                     return False
-            bank = bankl[0]
-            winner = min((core.coreid for core in running),
-                         key=lambda cid: (cid - priority[bank]) % ncores)
-            priority[bank] = (winner + 1) % ncores
+            priority[bank] = serve_bank(
+                priority[bank], [core.coreid for core in group], [addr] * n,
+                (False,) * n, True, ncores)[1]
             value = words[addr]
-            trace.dm_bank_reads += 1
-            for core in running:
+            for core in group:
                 core.regs[rd] = value
                 core.pc += 1
-            trace.dm_served += n
-            return True
-        if is_write:
-            for core, addr, bank in zip(running, addrs, bankl):
+            trace.dm_bank_reads += 1
+        elif is_write:
+            for core, addr, bank in staged:
                 priority[bank] = (core.coreid + 1) % ncores
                 words[addr] = core.regs[rd] & 0xFFFF
                 core.pc += 1
             trace.dm_bank_writes += n
         else:
-            for core, addr, bank in zip(running, addrs, bankl):
+            for core, addr, bank in staged:
                 priority[bank] = (core.coreid + 1) % ncores
                 core.regs[rd] = words[addr]
                 core.pc += 1
             trace.dm_bank_reads += n
         trace.dm_served += n
         return True
+
+    def _mem_replay(self, group: list, info: tuple, pc: int, cycles: int,
+                    horizon: float):
+        """Replay a synchronous one-bank conflict of a lockstep LD/ST.
+
+        The enhanced D-Xbar policy (paper sec. IV) serves conflicting
+        lockstep requests one bank access per cycle and stalls the
+        served cores until the whole group is served, so lockstep
+        survives.  This calls :func:`~repro.platform.dxbar.serve_bank`
+        once per cycle for the ``k`` cycles ``step()`` takes, with the
+        register and memory updates, the D-Xbar counters and a call to
+        each conflict listener per conflict cycle, with the losers and
+        the cycle number ``DataCrossbar.arbitrate`` would pass.  Every
+        core is active in cycle 1 (the broadcast fetch) and cycle ``k``
+        (which releases the group); in between only that cycle's served
+        cores are.  Fetch and retire accounting stays with the burst.
+
+        :param cycles: the clock before the fetch cycle.
+        :returns: ``(k, stalled)``, the cycles taken and the held cores'
+            stall cycles, or None, with nothing mutated, when the policy
+            has no synchronous stall, the requests span several banks (a
+            bank with fewer requests releases its cores early, breaking
+            lockstep), an address is out of range, or the ``k`` cycles
+            would pass ``horizon``.
+        """
+        machine = self._machine
+        config = machine.config
+        if not config.has_dxbar_sync_stall:
+            return None
+        is_write, rs, imm, rd = info
+        words = machine.dm.words
+        addrs = [(core.regs[rs] + imm) & 0xFFFF for core in group]
+        if max(addrs) >= len(words):
+            return None
+        bank_of = config.dm_bank_of
+        bank = bank_of(addrs[0])
+        if any(bank_of(addr) != bank for addr in addrs):
+            return None
+        n = len(group)
+        broadcast = config.dm_broadcast
+        k = n if is_write or not broadcast else len(set(addrs))
+        if cycles + k > horizon:
+            return None
+        dxbar = machine.dxbar
+        priority = dxbar._priority
+        listeners = dxbar.conflict_listeners
+        ncores = config.num_cores
+        coreids = [core.coreid for core in group]
+        flags = (is_write,) * n
+        left = list(range(n))         # positions not yet served
+        stalled = 0
+        for cycle in range(cycles + 1, cycles + k + 1):
+            served, priority[bank] = serve_bank(
+                priority[bank], [coreids[p] for p in left],
+                [addrs[p] for p in left], flags, broadcast, ncores)
+            served = [left[s] for s in served]
+            if is_write:
+                words[addrs[served[0]]] = group[served[0]].regs[rd] & 0xFFFF
+            else:
+                value = words[addrs[served[0]]]
+                for p in served:
+                    group[p].regs[rd] = value
+            left = [p for p in left if p not in served]
+            if not left:
+                break                 # cycle k: the group is released
+            if cycle > cycles + 1:
+                stalled += n - len(served)
+            if listeners:
+                losers = tuple(
+                    DmRequest(coreids[p], addrs[p], is_write,
+                              group[p].regs[rd] if is_write else 0, pc)
+                    for p in left)
+                for listener in listeners:
+                    listener(cycle, losers)
+        for core in group:
+            core.pc = pc + 1
+        trace = machine.trace
+        if is_write:
+            trace.dm_bank_writes += k
+        else:
+            trace.dm_bank_reads += k
+        trace.dm_served += n
+        trace.dm_conflict_cycles += k - 1
+        return k, stalled
 
     def _sleep_fast_forward(self, limit: int) -> bool:
         """Jump over an all-asleep stretch to the next timer/IRQ event.

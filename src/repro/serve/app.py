@@ -516,11 +516,22 @@ class SweepService:
         recorder = job.recorder
         emit("job.start", trace_id=job.trace_id, job_id=job.id,
              runs=len(job.spec))
-        metrics = SweepMetrics(total=len(job.spec))
         requests = list(job.spec.requests)
         with recorder.span("digest", "digest", parent=jctx):
             digests = [request_digest(request) for request in requests]
             writer = SweepManifestWriter(job.directory, name=job.spec.name)
+        try:
+            self._execute_sweep(job, requests, digests, writer)
+        finally:
+            # finalize closes runs.jsonl; a job that fails before it
+            # must not leave the file open either
+            writer.close()
+
+    def _execute_sweep(self, job: Job, requests: list, digests: list,
+                       writer: SweepManifestWriter) -> None:
+        jctx = job.span.context
+        recorder = job.recorder
+        metrics = SweepMetrics(total=len(job.spec))
         observer = _ExecObserver(job, jctx)
 
         # claim each unique digest once, preserving first-seen order

@@ -160,7 +160,7 @@ class SweepManifestWriter:
             manifest on disk can be joined back to its span tree and
             log lines.
         """
-        self._handle.close()
+        self.close()
         rows = _read_jsonl(self.runs_path)
         telemetry = [row["telemetry"] for row in rows if row.get("telemetry")]
         tiers: dict[str, int] = {}
@@ -197,6 +197,12 @@ class SweepManifestWriter:
             handle.write("\n")
         os.replace(scratch, self.manifest_path)
         return self.manifest_path
+
+    def close(self) -> None:
+        """Close the ``runs.jsonl`` stream without writing a manifest
+        (idempotent): :meth:`finalize` calls it, and so does a driver
+        whose sweep failed before it could finalize."""
+        self._handle.close()
 
     def __enter__(self) -> "SweepManifestWriter":
         return self

@@ -9,11 +9,11 @@ or a fast engine replayed it, reports through
 so subscribing to
 :attr:`Synchronizer.listeners <repro.platform.synchronizer.Synchronizer.listeners>`
 observes *every* barrier event — with exact cycle numbers — at zero cost
-to bursts.  Likewise the fast engine serves only provably conflict-free
-memory patterns inline, so every D-Xbar conflict arbitrates on the
-reference path where
-:attr:`DataCrossbar.conflict_listeners <repro.platform.dxbar.DataCrossbar.conflict_listeners>`
-fire.
+to bursts.  Likewise every D-Xbar conflict cycle reaches
+:attr:`DataCrossbar.conflict_listeners <repro.platform.dxbar.DataCrossbar.conflict_listeners>`:
+the reference crossbar calls them, and so does the fast engine's replay
+of a synchronous one-bank conflict, with the same losers and cycle
+numbers.
 
 From those two event streams the tracer reconstructs **barrier spans**:
 

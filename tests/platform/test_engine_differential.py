@@ -8,9 +8,10 @@ every :class:`~repro.platform.trace.ActivityTrace` counter, every
 register, flag, PC and mode of every core, every data-memory word, and
 the rotating priorities of both crossbars.
 
-Coverage: the three Fig. 3 kernels under six platform configurations
-(the four designs plus a 4-core machine and a broadcast-less ablation),
-and on a seeded ECG input under the four synchronizer configurations,
+Coverage: the three Fig. 3 kernels under seven platform configurations
+(the four designs plus a 4-core machine, a broadcast-less ablation and
+interleaved DM banking), and on a seeded ECG input under the five
+synchronizer configurations,
 interrupt-driven streaming with a periodic timer, scheduled one-shot
 interrupts, period-1/period-2 timer edges, incremental ``run_cycles``
 stepping, and the error paths (cycle limit, deadlock).
@@ -81,16 +82,24 @@ CONFIGS["with-sync-4-cores"] = (
 CONFIGS["with-sync-no-broadcast"] = (
     PlatformConfig(num_cores=8, policy=SyncPolicy.FULL,
                    im_broadcast=False, dm_broadcast=False), True)
+CONFIGS["with-sync-interleaved"] = (
+    PlatformConfig(policy=SyncPolicy.FULL, dm_interleaved=True), True)
 
 
 #: the configurations whose programs carry sync points, run on ECG too
 SYNC_CONFIGS = ("barrier-only", "with-sync", "with-sync-4-cores",
-                "with-sync-no-broadcast")
+                "with-sync-no-broadcast", "with-sync-interleaved")
 ECG_SAMPLES = 8
 #: the most cycles step() may still run on ECG with IM broadcast: the
 #: bursts replay every barrier exchange they can prove, divergent ones
 #: included, and apply latched wakeups themselves
 ECG_STEP_CEILING = 10
+#: the same ceiling under interleaved DM, per kernel.  SPMD private
+#: buffers put lockstep cores in one bank at different words there; the
+#: lockstep burst replays those synchronous one-bank conflicts, while
+#: conflicts spanning several banks and group conflicts inside divergent
+#: bursts still go to step() (before the replay: 50,156, 17,353 and 778)
+INTERLEAVED_STEP_CEILING = {"MRPFLTR": 2490, "MRPDLN": 1469, "SQRT32": 182}
 
 
 @pytest.mark.parametrize("config_name,ecg", [
@@ -117,7 +126,9 @@ def test_kernel_differential(bench, config_name, ecg):
     assert_equivalent(fast, slow)
     if ecg and config.im_broadcast:
         step_cycles = fast.trace.cycles - fast.engine_stats.fast_cycles
-        assert step_cycles <= ECG_STEP_CEILING
+        assert step_cycles <= (INTERLEAVED_STEP_CEILING[bench]
+                               if config.dm_interleaved
+                               else ECG_STEP_CEILING)
 
 
 @pytest.mark.parametrize("design_name", sorted(DESIGNS))

@@ -16,16 +16,23 @@ contract:
   arbitration (conflict counters, rotating priorities) must match the
   reference cycle-for-cycle;
 - interrupts landing inside a would-be memory block are delivered
-  cycle-exactly on both engines.
+  cycle-exactly on both engines;
+- lockstep LD/STs the bursts serve without fusion: the D-Xbar serve
+  kernel against its rule, and every request pattern — conflict-free,
+  a synchronous one-bank conflict the lockstep burst replays, or one
+  it must leave to ``step()`` — against the reference, conflict
+  listener calls included.
 """
 
 import random
+from dataclasses import astuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.isa.assembler import assemble
-from repro.platform import Machine, PlatformConfig
+from repro.platform import Machine, PlatformConfig, SyncPolicy
+from repro.platform.dxbar import serve_bank
 
 from .test_engine_differential import (
     assert_equivalent,
@@ -194,7 +201,7 @@ def test_wrong_fact_single_core_never_misfires():
 
 
 # every core loads its own word of bank 0, after lockstep work the
-# burst runs first: a conflict no fast path may serve
+# burst runs first: an eight-way one-bank conflict
 CONFLICTING_LD = """
 .entry main
 main:
@@ -209,12 +216,10 @@ spin:
 """
 
 
-def test_one_conflicting_load_is_one_deopt():
-    """The burst runs up to the LD, fails its guard and hands the cycle
-    straight to step(): one guard failure is one deopt, not a second
-    zero-cycle burst failing the same guard again."""
+def run_conflicting_ld(policy):
     program = assemble(CONFLICTING_LD)
-    fast, slow = (Machine(program, PlatformConfig(num_cores=8),
+    fast, slow = (Machine(program, PlatformConfig(num_cores=8,
+                                                  policy=policy),
                           fast_engine=fast_engine)
                   for fast_engine in (True, False))
     for machine in (fast, slow):
@@ -222,7 +227,26 @@ def test_one_conflicting_load_is_one_deopt():
     assert_equivalent(fast, slow)
     assert fast.trace.dm_conflict_cycles > 0
     assert fast.engine_stats.lockstep_cycles > 0
+    return fast
+
+
+def test_one_conflicting_load_is_one_deopt():
+    """Without the synchronous-stall policy the conflict breaks
+    lockstep, so the burst runs up to the LD, fails its guard and hands
+    the cycle straight to step(): one guard failure is one deopt, not a
+    second zero-cycle burst failing the same guard again."""
+    fast = run_conflicting_ld(SyncPolicy.HW_BARRIER)
     assert fast.engine_stats.deopt_count == 1
+
+
+def test_one_bank_conflict_is_replayed_in_the_burst():
+    """Under the enhanced D-Xbar policy the same conflict holds the
+    served cores until all eight are served: the lockstep burst replays
+    its eight cycles itself, and step() runs none."""
+    fast = run_conflicting_ld(SyncPolicy.FULL)
+    stats = fast.engine_stats
+    assert stats.deopt_count == 0
+    assert fast.trace.cycles == stats.fast_cycles
 
 
 # ---------------------------------------------------------------------------
@@ -574,3 +598,139 @@ def test_random_memory_dense_differential(seed, broadcast):
                           max_cycles=50_000)
     assert_equivalent(fast, slow)
     assert fast.engine_stats.term_guard == 0
+
+
+# ---------------------------------------------------------------------------
+# Lockstep LD/ST without fusion: the serve kernel, the group path and the
+# synchronous-conflict replay
+# ---------------------------------------------------------------------------
+
+@st.composite
+def bank_requests(draw):
+    """One bank's requests for one cycle: distinct cores, a few shared
+    addresses, mixed reads and writes, and the bank's priority."""
+    ncores = draw(st.integers(1, 8))
+    cores = draw(st.lists(st.integers(0, ncores - 1), min_size=1,
+                          max_size=ncores, unique=True))
+    n = len(cores)
+    addresses = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    writes = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    priority = draw(st.integers(0, ncores - 1))
+    return priority, cores, addresses, writes, ncores
+
+
+@given(bank_requests(), st.booleans())
+def test_serve_bank_kernel(request, broadcast):
+    priority, cores, addresses, writes, ncores = request
+    served, after = serve_bank(priority, cores, addresses, writes,
+                               broadcast, ncores)
+
+    # the rule, written out literally
+    rotation = [(priority + step) % ncores for step in range(ncores)]
+    winner = next(core for core in rotation if core in cores)
+    win = cores.index(winner)
+    assert served[0] == win
+    assert after == (winner + 1) % ncores
+    if writes[win] or not broadcast:
+        expected = [win]
+    else:
+        expected = [p for p in range(len(cores)) if not writes[p]
+                    and addresses[p] == addresses[win]]
+    assert sorted(served) == expected
+    if len(cores) == 1:
+        # a single requester: always served, priority to core + 1
+        assert (served, after) == ([0], (cores[0] + 1) % ncores)
+
+
+# Every running core computes its address from its core id —
+# ``base + (id & mask) * x + (id >> shift) * y`` — and then all of them
+# execute one LD or ST in lockstep, ``iters`` times, so later
+# iterations start from the bank priority the earlier ones left.
+# Cores at or past ``running`` halt first.
+LOCKSTEP_MEM = """
+.entry main
+main:
+    MFSR R0, COREID
+    CMPI R0, #{running}
+    LBGE done
+    LI R3, #{mask}
+    AND R2, R0, R3
+    LI R3, #{x}
+    MUL R2, R2, R3
+    MOV R3, R0
+    SRLI R3, #{shift}
+    LI R4, #{y}
+    MUL R3, R3, R4
+    LI R1, #{base}
+    ADD R1, R1, R2
+    ADD R1, R1, R3
+    ADDI R4, R0, #5
+    LI R6, #{iters}
+loop:
+    {op}
+    ADD R7, R7, R5
+    ADDI R4, R4, #1
+    ADDI R6, R6, #-1
+    CMPI R6, #0
+    LBNE loop
+done:
+    HALT
+"""
+
+#: name -> (mask, x, shift, y); ``"S"`` is a word stride that stays in
+#: the bank, ``"B"`` the stride to the next bank
+PATTERNS = {
+    "one-bank": (7, "S", 3, 0),           # distinct words, one bank
+    "shared": (0, 0, 3, 0),               # one word
+    "duplicates": (0, 0, 1, "S"),         # pairs share a word, one bank
+    "several-banks": (1, "B", 1, "S"),    # two banks, conflicts in each
+    "distinct-banks": (7, "B", 3, 0),     # conflict-free
+}
+
+
+@st.composite
+def lockstep_mem_cases(draw):
+    interleaved = draw(st.booleans())
+    pattern = draw(st.sampled_from(sorted(PATTERNS)))
+    mask, x, shift, y = PATTERNS[pattern]
+    # under interleaving the next word of a bank is 16 words on
+    strides = {"S": 16, "B": 1} if interleaved else {"S": 1, "B": BANK_WORDS}
+    base = (draw(st.integers(0, 4000)) if interleaved
+            else draw(st.integers(0, 8)) * BANK_WORDS
+            + draw(st.integers(0, 64)))
+    running = draw(st.integers(2, 8))
+    source = LOCKSTEP_MEM.format(
+        running=running, mask=mask,
+        x=strides.get(x, x), shift=shift, y=strides.get(y, y), base=base,
+        iters=draw(st.integers(1, 3)),
+        op=draw(st.sampled_from(["LD R5, [R1]", "ST R4, [R1]"])))
+    config = PlatformConfig(
+        num_cores=8, dm_interleaved=interleaved,
+        dm_broadcast=draw(st.booleans()),
+        policy=draw(st.sampled_from([SyncPolicy.FULL,
+                                     SyncPolicy.DXBAR_SYNC_STALL,
+                                     SyncPolicy.HW_BARRIER])))
+    return pattern, running, source, config
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(lockstep_mem_cases())
+def test_lockstep_memory_patterns_differential(case):
+    pattern, running, source, config = case
+    conflicts = ([], [])
+
+    def setup(machine):
+        log = conflicts[not machine.fast_engine]
+        machine.dxbar.conflict_listeners.append(
+            lambda cycle, losers: log.append(
+                (cycle, [astuple(r) for r in losers])))
+
+    fast, slow = run_pair(assemble(source), config, setup,
+                          max_cycles=10_000)
+    assert_equivalent(fast, slow)
+    assert conflicts[0] == conflicts[1]
+    if pattern != "several-banks" and config.has_dxbar_sync_stall:
+        # every conflict is one bank's and the burst replays it: the
+        # halts are the only deopts
+        assert fast.engine_stats.deopt_count <= 1 + (running < 8)

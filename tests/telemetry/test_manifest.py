@@ -92,6 +92,16 @@ class TestLoadAndSummarize:
         with pytest.raises(FileNotFoundError):
             load_manifest(tmp_path / "nowhere")
 
+    def test_close_is_idempotent(self, tmp_path):
+        """A driver whose sweep failed closes the runs log without a
+        manifest; closing again, or finalizing later, is harmless."""
+        writer = SweepManifestWriter(tmp_path / "out")
+        writer.close()
+        writer.close()
+        assert not writer.manifest_path.exists()
+        manifest, rows = load_manifest(writer.finalize())
+        assert manifest["runs"] == 0 and rows == []
+
     def test_summary_text(self, sweep_dir):
         directory, outcomes = sweep_dir
         text = summarize_manifest(directory)
