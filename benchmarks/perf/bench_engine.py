@@ -6,13 +6,12 @@ Times the reference per-cycle engine against the fast engine
 sleep fast-forward) on the paper's Fig. 3 kernels and a duty-cycled
 streaming node, cross-checking trace bit-exactness on every pair.  Every
 workload row records its superblock coverage (``fused_cycles`` /
-``block_coverage``, measured over *awake* cycles) and memory-fusion
-counters; the process fails if any pair diverges, any workload runs
-slower than the reference, fusion fails to engage on the
-lockstep-heavy kernels, full-size coverage drops below the committed
-floors (0.45 on the with-sync MRP kernels, 0.25 on the streaming
-node), or any workload's ``deopt_count`` regresses against the
-committed ``BENCH_engine.json``.
+``block_coverage``, measured over *awake* cycles); the process fails if
+any pair diverges, any workload runs slower than the reference,
+superblock fusion fails to engage on the lockstep-heavy kernels,
+full-size coverage on the streaming node drops below its 0.25 floor,
+or any workload's ``deopt_count`` regresses against the committed
+``BENCH_engine.json``.
 
 A second section times batched throughput: a same-image family of runs
 dispatched as one array-of-machines batch (``repro.cpu.vec``) versus
@@ -20,12 +19,10 @@ individually through the fast engine — once on the without-sync design
 and once on with-sync, which batches end-to-end now that barrier bursts
 replay in vectorized lockstep.  Every batched run is cross-checked
 bit-for-bit against its serial twin, and each row carries a
-block-termination census (``term_sync`` / ``term_diverge`` /
-``term_guard``) plus predication counters.  The process fails if any
-batched run diverges, the reference anchor fails, either design's batch
-runs slower than serial dispatch (3x is required at full size),
-predication never engages on MRPFLTR, or the census is missing.  Run
-from the repo root:
+block-termination census (``term_sync`` / ``term_diverge``).  The
+process fails if any batched run diverges, the reference anchor fails,
+either design's batch runs slower than serial dispatch (3x is required
+at full size), or the census is missing.  Run from the repo root:
 
     PYTHONPATH=src python benchmarks/perf/bench_engine.py
     PYTHONPATH=src python benchmarks/perf/bench_engine.py --quick
@@ -137,17 +134,10 @@ def main(argv=None) -> int:
             failures.append(
                 f"superblock fusion never engaged on {row['name']} "
                 f"{row['design']}")
-        if (row["name"] in ("MRPFLTR", "MRPDLN")
-                and not row["mem_fused_blocks"]):
-            failures.append(
-                f"memory fusion never engaged on {row['name']} "
-                f"{row['design']}")
     # coverage floors and deopt regressions are only meaningful at the
     # committed full-size workloads (--quick shrinks every input)
     if not args.quick:
-        floors = {("MRPFLTR", "with-sync"): 0.45,
-                  ("MRPDLN", "with-sync"): 0.45,
-                  ("STREAMING-EMA", "with-sync"): 0.25}
+        floors = {("STREAMING-EMA", "with-sync"): 0.25}
         for row in payload["workloads"]:
             key = (row["name"], row["design"])
             floor = floors.get(key)
@@ -163,10 +153,6 @@ def main(argv=None) -> int:
                     f"{row['name']} {row['design']} deopt_count "
                     f"regressed: {row['deopt_count']} > committed "
                     f"{previous['deopt_count']}")
-    for row in payload["workloads"]:
-        if row["name"] == "MRPFLTR" and not row["pred_blocks"]:
-            failures.append(
-                f"predication never engaged on MRPFLTR {row['design']}")
     # a small smoke batch only has to not lose; full-size batches
     # (>= 64 runs) must deliver the 3x the layered design promises —
     # for the with-sync design too, now that barriers replay in lockstep

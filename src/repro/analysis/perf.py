@@ -55,11 +55,11 @@ STREAMING_PROGRAM = """
 .entry main
 
 isr:
-    LD R5, [R1]             ; x = next input sample ;@mem=A2048
+    LD R5, [R1]             ; x = next input sample
     SUB R5, R5, R4
     SRAI R5, #2
     ADD R4, R4, R5          ; ema += (x - ema) >> 2
-    ST R4, [R2]             ;@mem=A2048
+    ST R4, [R2]
     INC R1
     INC R2
     INC R3                  ; samples processed
@@ -100,14 +100,8 @@ class WorkloadResult:
     fused_cycles: int = 0
     deopt_count: int = 0
     sleep_cycles: int = 0
-    mem_fused_blocks: int = 0
-    mem_fused_ops: int = 0
-    pred_blocks: int = 0
-    pred_cycles: int = 0
-    pred_aborts: int = 0
     term_sync: int = 0
     term_diverge: int = 0
-    term_guard: int = 0
 
     @property
     def speedup(self) -> float:
@@ -141,14 +135,8 @@ class WorkloadResult:
             "fused_cycles": self.fused_cycles,
             "deopt_count": self.deopt_count,
             "sleep_cycles": self.sleep_cycles,
-            "mem_fused_blocks": self.mem_fused_blocks,
-            "mem_fused_ops": self.mem_fused_ops,
-            "pred_blocks": self.pred_blocks,
-            "pred_cycles": self.pred_cycles,
-            "pred_aborts": self.pred_aborts,
             "term_sync": self.term_sync,
             "term_diverge": self.term_diverge,
-            "term_guard": self.term_guard,
             "block_coverage": round(self.block_coverage, 4),
         }
 
@@ -189,14 +177,8 @@ def _kernel_result(bench: str, design_name: str, channels,
                           fused_cycles=stats.fused_cycles,
                           deopt_count=stats.deopt_count,
                           sleep_cycles=stats.sleep_cycles,
-                          mem_fused_blocks=stats.mem_fused_blocks,
-                          mem_fused_ops=stats.mem_fused_ops,
-                          pred_blocks=stats.pred_blocks,
-                          pred_cycles=stats.pred_cycles,
-                          pred_aborts=stats.pred_aborts,
                           term_sync=stats.term_sync,
-                          term_diverge=stats.term_diverge,
-                          term_guard=stats.term_guard)
+                          term_diverge=stats.term_diverge)
 
 
 def run_streaming(n_samples: int, *, period: int = STREAMING_PERIOD,
@@ -230,14 +212,8 @@ def _streaming_result(n_samples: int, period: int,
                           fused_cycles=stats.fused_cycles,
                           deopt_count=stats.deopt_count,
                           sleep_cycles=stats.sleep_cycles,
-                          mem_fused_blocks=stats.mem_fused_blocks,
-                          mem_fused_ops=stats.mem_fused_ops,
-                          pred_blocks=stats.pred_blocks,
-                          pred_cycles=stats.pred_cycles,
-                          pred_aborts=stats.pred_aborts,
                           term_sync=stats.term_sync,
-                          term_diverge=stats.term_diverge,
-                          term_guard=stats.term_guard)
+                          term_diverge=stats.term_diverge)
 
 
 def engine_benchmark(*, samples: int = 64, streaming_samples: int = 256,
@@ -334,12 +310,10 @@ def batched_benchmark(*, runs: int = 64, samples: int = 32,
                for machine, n_samples in prepared]
     batched_seconds = time.perf_counter() - t0
 
-    # block-termination + predication census, summed over the batch
-    # (vec writeback credits fused/predicated work into each machine's
-    # scalar EngineStats, so this covers the batched phase too)
-    census = {"term_sync": 0, "term_diverge": 0, "term_guard": 0,
-              "pred_blocks": 0, "pred_cycles": 0, "pred_aborts": 0,
-              "deopt_count": 0}
+    # block-termination census, summed over the batch (vec writeback
+    # credits its work into each machine's scalar EngineStats, so this
+    # covers the batched phase too)
+    census = {"term_sync": 0, "term_diverge": 0, "deopt_count": 0}
     for machine, _ in prepared:
         engine = machine.engine_stats
         for key in census:
@@ -359,7 +333,7 @@ def batched_benchmark(*, runs: int = 64, samples: int = 32,
             f"batched {batched_seconds:6.2f}s  {speedup:5.2f}x  "
             f"exact={all_exact} ref={reference_exact}  "
             f"width={stats.max_width} peels={stats.early_peels}  "
-            f"sync={census['term_sync']} preds={census['pred_blocks']}")
+            f"sync={census['term_sync']}")
     return {
         "bench": bench,
         "design": design_name,

@@ -212,12 +212,8 @@ def cmd_trace(args) -> int:
           f"{machine.trace.cycles - stats.fast_cycles} step() cycles")
     print(f"  superblocks: {stats.fused_cycles} cycles fused over "
           f"{stats.fused_blocks} blocks, {stats.deopt_count} deopts")
-    print(f"  memory fusion: {stats.mem_fused_ops} LD/ST fused inside "
-          f"{stats.mem_fused_blocks} blocks, {stats.term_guard} guard "
-          f"deopts")
     terms = [(reason, getattr(stats, "term_" + reason))
-             for reason in ("mem", "sync", "stop", "diverge", "cap",
-                            "guard")]
+             for reason in ("mem", "sync", "stop", "diverge", "cap")]
     census = ", ".join(f"{reason}={count}" for reason, count in terms
                        if count)
     print(f"  block terminations: {census or 'none'}")

@@ -51,7 +51,6 @@ from .ast_nodes import (
     WhileStmt,
 )
 from .lexer import CompileError
-from .runtime import STACK_BANK_WORDS
 
 _CMP_BRANCH = {"==": "EQ", "!=": "NE", "<": "LT", "<=": "LE",
                ">": "GT", ">=": "GE"}
@@ -63,28 +62,6 @@ _SIMPLE_BINOPS = {"+": "ADD", "-": "SUB", "&": "AND", "|": "OR",
 MAX_CALL_ARGS = 5
 SCRATCH = "R7"
 
-#: marker for frame/stack accesses: effective address is coreid-affine
-#: with the private-bank stride, so each core hits its own D-bank
-_STACK_TAG = f"  ;@mem=A{STACK_BANK_WORDS}"
-#: marker for accesses at a core-invariant (broadcastable) address
-_UNIFORM_TAG = "  ;@mem=U"
-#: marks a branch generated for an ``if`` statement; the assembler's
-#: hammock analysis grants hinted branches a larger if-conversion budget
-_IFCONV_TAG = "  ;@ifconv"
-
-
-def _mem_tag(stride) -> str:
-    """The ``;@mem=`` marker suffix for an access with this address stride.
-
-    Strides come from :mod:`repro.compiler.addrshape` annotations; anything
-    unknown (or a degenerate stride of 0 mod 2**16 claiming affinity) gets
-    no marker and the access stays a superblock boundary.
-    """
-    if stride == 0:
-        return _UNIFORM_TAG
-    if isinstance(stride, int) and stride & 0xFFFF:
-        return f"  ;@mem=A{stride & 0xFFFF}"
-    return ""
 
 
 @dataclass
@@ -171,10 +148,10 @@ class FunctionCodegen:
 
     def _push_reg(self, reg: int) -> None:
         self.emit("ADDI SP, SP, #-1")
-        self.emit(f"ST R{reg}, [SP]{_STACK_TAG}")
+        self.emit(f"ST R{reg}, [SP]")
 
     def _pop_reg(self, reg: int) -> None:
-        self.emit(f"LD R{reg}, [SP]{_STACK_TAG}")
+        self.emit(f"LD R{reg}, [SP]")
         self.emit("ADDI SP, SP, #1")
 
     def spill_all(self) -> None:
@@ -217,10 +194,10 @@ class FunctionCodegen:
 
     def _push_named(self, reg: str) -> None:
         self.emit("ADDI SP, SP, #-1")
-        self.emit(f"ST {reg}, [SP]{_STACK_TAG}")
+        self.emit(f"ST {reg}, [SP]")
 
     def _pop_named(self, reg: str) -> None:
-        self.emit(f"LD {reg}, [SP]{_STACK_TAG}")
+        self.emit(f"LD {reg}, [SP]")
         self.emit("ADDI SP, SP, #1")
 
     def _adjust_sp(self, delta: int) -> None:
@@ -291,7 +268,7 @@ class FunctionCodegen:
         else_label = self.new_label("else")
         end_label = self.new_label("endif")
         self.gen_branch(stmt.cond, else_label if stmt.else_body is not None
-                        else end_label, when=False, tag=_IFCONV_TAG)
+                        else end_label, when=False)
         self.gen_stmt(stmt.then_body)
         if stmt.else_body is not None:
             self.emit(f"BR {end_label}")
@@ -377,27 +354,21 @@ class FunctionCodegen:
     # Conditions
     # ------------------------------------------------------------------
 
-    def gen_branch(self, cond: Expr, label: str, *, when: bool,
-                   tag: str = "") -> None:
-        """Branch to ``label`` when ``cond`` evaluates to ``when``.
-
-        ``tag`` is appended to the conditional branch line itself — the
-        ``;@ifconv`` marker rides along so the hammock analysis knows the
-        branch guards an ``if`` statement's arm.
-        """
+    def gen_branch(self, cond: Expr, label: str, *, when: bool) -> None:
+        """Branch to ``label`` when ``cond`` evaluates to ``when``."""
         if isinstance(cond, UnaryExpr) and cond.op == "!":
-            self.gen_branch(cond.operand, label, when=not when, tag=tag)
+            self.gen_branch(cond.operand, label, when=not when)
             return
         if isinstance(cond, BinaryExpr) and cond.op in ("&&", "||"):
             short_and = cond.op == "&&"
             if when != short_and:
                 # branch taken if either operand decides it
-                self.gen_branch(cond.left, label, when=when, tag=tag)
-                self.gen_branch(cond.right, label, when=when, tag=tag)
+                self.gen_branch(cond.left, label, when=when)
+                self.gen_branch(cond.right, label, when=when)
             else:
                 skip = self.new_label("sc")
                 self.gen_branch(cond.left, skip, when=not when)
-                self.gen_branch(cond.right, label, when=when, tag=tag)
+                self.gen_branch(cond.right, label, when=when)
                 self.emit(f"{skip}:", label=True)
             return
         if isinstance(cond, BinaryExpr) and cond.op in _CMP_BRANCH:
@@ -408,7 +379,7 @@ class FunctionCodegen:
             cc = _CMP_BRANCH[cond.op]
             if not when:
                 cc = _CMP_INVERSE[cc]
-            self.emit(f"LB{cc} {label}{tag}")
+            self.emit(f"LB{cc} {label}")
             return
         if isinstance(cond, NumberExpr):
             if bool(cond.value) == when:
@@ -417,7 +388,7 @@ class FunctionCodegen:
         self.gen_expr(cond)
         reg = self.vpop()
         self.emit(f"CMPI {reg}, #0")
-        self.emit(f"LB{'NE' if when else 'EQ'} {label}{tag}")
+        self.emit(f"LB{'NE' if when else 'EQ'} {label}")
 
     # ------------------------------------------------------------------
     # Expressions
@@ -458,7 +429,7 @@ class FunctionCodegen:
         if symbol.kind == "global":
             self.emit(f"LI {reg}, #{symbol.label}")
             if not symbol.is_array:
-                self.emit(f"LD {reg}, [{reg}]{_UNIFORM_TAG}")
+                self.emit(f"LD {reg}, [{reg}]")
             return
         offset = self._frame_offset(symbol)
         if symbol.is_array:
@@ -469,24 +440,24 @@ class FunctionCodegen:
                 self.emit(f"ADD {reg}, R5, {reg}")
             return
         if -16 <= offset <= 15:
-            self.emit(f"LD {reg}, [R5 + #{offset}]{_STACK_TAG}")
+            self.emit(f"LD {reg}, [R5 + #{offset}]")
         else:
             self.emit(f"LI {reg}, #{offset}")
             self.emit(f"ADD {reg}, R5, {reg}")
-            self.emit(f"LD {reg}, [{reg}]{_STACK_TAG}")
+            self.emit(f"LD {reg}, [{reg}]")
 
     def _store_symbol(self, symbol: Symbol, reg: str) -> None:
         if symbol.kind == "global":
             self.emit(f"LI {SCRATCH}, #{symbol.label}")
-            self.emit(f"ST {reg}, [{SCRATCH}]{_UNIFORM_TAG}")
+            self.emit(f"ST {reg}, [{SCRATCH}]")
             return
         offset = self._frame_offset(symbol)
         if -16 <= offset <= 15:
-            self.emit(f"ST {reg}, [R5 + #{offset}]{_STACK_TAG}")
+            self.emit(f"ST {reg}, [R5 + #{offset}]")
         else:
             self.emit(f"LI {SCRATCH}, #{offset}")
             self.emit(f"ADD {SCRATCH}, R5, {SCRATCH}")
-            self.emit(f"ST {reg}, [{SCRATCH}]{_STACK_TAG}")
+            self.emit(f"ST {reg}, [{SCRATCH}]")
 
     def _gen_addr(self, node: Expr) -> None:
         """Evaluate the address of an lvalue onto the virtual stack."""
@@ -524,24 +495,22 @@ class FunctionCodegen:
         raise CompileError("expression is not addressable", node.line)
 
     def _gen_index_load(self, node: IndexExpr) -> None:
-        tag = _mem_tag(getattr(node, "addr_stride", None))
         self.gen_expr(node.base)
         if isinstance(node.index, NumberExpr) and 0 <= node.index.value <= 15:
             reg = self.vtop()
-            self.emit(f"LD {reg}, [{reg} + #{node.index.value}]{tag}")
+            self.emit(f"LD {reg}, [{reg} + #{node.index.value}]")
             return
         self.gen_expr(node.index)
         base, index = self.vpop2()
         self.vpush_reg(base)
         self.emit(f"ADD {base}, {base}, {index}")
-        self.emit(f"LD {base}, [{base}]{tag}")
+        self.emit(f"LD {base}, [{base}]")
 
     def _gen_unary(self, node: UnaryExpr) -> None:
         if node.op == "*":
-            tag = _mem_tag(getattr(node, "addr_stride", None))
             self.gen_expr(node.operand)
             reg = self.vtop()
-            self.emit(f"LD {reg}, [{reg}]{tag}")
+            self.emit(f"LD {reg}, [{reg}]")
             return
         self.gen_expr(node.operand)
         reg = self.vtop()
@@ -639,12 +608,11 @@ class FunctionCodegen:
             self._store_symbol(target.symbol, reg)
             return
         # element or deref target: value first, then address
-        tag = _mem_tag(getattr(target, "addr_stride", None))
         self.gen_expr(node.value)
         self._gen_addr(target)
         value, addr = self.vpop2()
         self.vpush_reg(value)
-        self.emit(f"ST {value}, [{addr}]{tag}")
+        self.emit(f"ST {value}, [{addr}]")
 
     # ------------------------------------------------------------------
     # Calls

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from ..isa.assembler import assemble
 from ..isa.program import Program
 from ..sync.points import DEFAULT_SYNC_BASE, SyncPointAllocator
-from .addrshape import analyze_address_shapes
 from .ast_nodes import ProgramAst
 from .codegen import FunctionCodegen
 from .lexer import CompileError
@@ -41,10 +40,6 @@ class CompileResult:
     sync_mode: str
     sync_points: int = 0
     symbols: dict[str, int] = field(default_factory=dict)
-    #: instruction address -> statically proven address shape for LD/ST
-    #: (0 = uniform across cores, k = coreid-affine with stride k); the
-    #: same facts ride on ``program.mem_facts`` and version its digest
-    mem_facts: dict[int, int] = field(default_factory=dict)
     #: synclint report (:class:`repro.sync.verifier.LintReport`), unless
     #: the unit was compiled with ``synclint='off'``
     lint: object | None = None
@@ -78,7 +73,6 @@ def compile_source(source: str, *, sync_mode: str = "auto",
     ast = parse(source)
     analyze(ast)
     analyze_uniformity(ast)
-    analyze_address_shapes(ast)
     allocator = SyncPointAllocator(base=sync_base)
     insert_sync_points(ast, sync_mode, allocator,
                        min_statements=sync_min_statements)
@@ -116,7 +110,6 @@ def compile_source(source: str, *, sync_mode: str = "auto",
         sync_mode=sync_mode,
         sync_points=allocator.count,
         symbols=dict(program.symbols),
-        mem_facts=dict(program.mem_facts),
     )
     if synclint != "off":
         result.lint = _run_synclint(result, synclint)

@@ -35,8 +35,8 @@ def peephole(lines: list[str]) -> list[str]:
 def _parse_mem(line: str) -> tuple[str, str, str] | None:
     """Parse ``LD/ST reg, [base + #off]`` into (mnemonic, reg, operand).
 
-    Comment suffixes (including ``;@mem=`` access-shape markers) are
-    stripped first so marker-bearing operands still compare equal.
+    Comment suffixes are stripped first so commented operands still
+    compare equal.
     """
     stripped = line.split(";", 1)[0].split("//", 1)[0].strip()
     if not stripped.startswith(("LD ", "ST ")):

@@ -49,9 +49,9 @@ def _divmod_routine(name: str, result_reg: str, sync: bool) -> str:
     return f"""\
 {name}:
     ADDI SP, SP, #-1
-    ST R7, [SP]  ;@mem=A{STACK_BANK_WORDS}
-{enter}    LD R0, [SP + #1]  ;@mem=A{STACK_BANK_WORDS}
-    LD R1, [SP + #2]  ;@mem=A{STACK_BANK_WORDS}
+    ST R7, [SP]
+{enter}    LD R0, [SP + #1]
+    LD R1, [SP + #2]
     CLR R4
     CMPI R1, #0
     BNE {p}_divisor_ok
@@ -106,7 +106,7 @@ def _divmod_routine(name: str, result_reg: str, sync: bool) -> str:
     SUB R3, R0, R3
 {p}_rpos:
     MOV R0, {result_reg}
-{leave}    LD R7, [SP]  ;@mem=A{STACK_BANK_WORDS}
+{leave}    LD R7, [SP]
     ADDI SP, SP, #1
     RET
 """

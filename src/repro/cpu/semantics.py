@@ -391,17 +391,6 @@ def rendered(ins, target: str) -> Rendered | None:
     return result
 
 
-#: forms that write core-level state (assign a special register)
-_CORE_WRITERS = frozenset(
-    key for key, form in FORMS.items()
-    if any(line.split(" = ")[0] in _SREGS for line in form.body))
-
-
-def writes_core(ins) -> bool:
-    """Does ``ins`` write core-level state (a special register)?"""
-    return form_key(ins) in _CORE_WRITERS
-
-
 def _literal(value: int) -> str:
     return str(value) if value >= 0 else f"({value})"
 
@@ -418,24 +407,9 @@ class Writer:
         self.body: list[str] = []
         self.touched: dict = {}
         self.written: dict = {}
-        #: state-plane mutations a vec block defers until every guard in
-        #: its body has passed (memory scatters, priority rotations)
-        self.deferred: list[str] = []
-        #: extra indentation for statements inside a predicated arm
-        self.indent = ""
 
     def emit(self, line: str) -> None:
-        self.body.append("    " + self.indent + line)
-
-    def defer(self, line: str) -> None:
-        self.deferred.append("    " + line)
-
-    def reg(self, index: int, *, write: bool = False) -> str:
-        name = f"r{index}"
-        self.touched[name] = None
-        if write:
-            self.written[name] = None
-        return name
+        self.body.append("    " + line)
 
     def inline(self, ins, pc: int) -> str | None:
         """Emit the effect of ``ins`` at address ``pc``; returns its
@@ -450,11 +424,3 @@ class Writer:
         for line in r.lines:
             self.emit(line.format(*values))
         return None if r.pc is None else r.pc.format(*values)
-
-    def taken(self, cond) -> str:
-        """The branch-taken test of ``cond`` over the flag locals."""
-        text = TAKEN[cond]
-        for flag in _FLAGS:
-            if flag in text:
-                self.touched[flag] = None
-        return f"({text})"

@@ -39,15 +39,14 @@ affected runs out of the batch, bit-exactly, back to their reference
   the whole ``(runs,)`` plane of checkpoint words — and only the runs
   the replay guard rejects (split addresses, locked or would-raise
   words, cores that would sleep) peel;
-- a data-dependent branch heading an if-convertible hammock
-  (``Program.hammocks``) executes predicated: each run's arm commits
-  under a lane mask, charged its own taken-path cost; other branches
-  that diverge *within* a run peel that run (its cores now need
-  per-core PCs); one that diverges *across* runs splits the group —
-  each subset keeps executing vectorized at its own PC, and subsets
-  that land on the same PC re-merge;
-- an LD/ST whose addresses differ across runs splits the group by
-  address pattern; a pattern that could lose D-Xbar arbitration peels.
+- a data-dependent branch that diverges *within* a run peels that run
+  (its cores now need per-core PCs); one that diverges *across* runs
+  splits the group — each subset keeps executing vectorized at its own
+  PC, and subsets that land on the same PC re-merge;
+- every LD/ST ends a block and runs as one vectorized lockstep cycle
+  (:meth:`_FamilyRunner._mem`); addresses that differ across runs
+  split the group by address pattern, and a pattern that could lose
+  D-Xbar arbitration peels.
 
 Peeled machines carry their exact mid-flight state: registers, flags,
 PCs, special registers, data memory, D-Xbar rotating priorities and all
@@ -76,7 +75,7 @@ except ImportError:                      # pragma: no cover - numpy is a
 
 from ..isa.spec import Opcode
 from ..platform.synchronizer import checkpoint_rmw
-from .blocks import BlockTable, MemEnv, arm_fits, cached_table, joinable
+from .blocks import BlockTable, cached_table
 from .semantics import (
     KIND_DIVERGE,
     KIND_JUMP,
@@ -85,7 +84,6 @@ from .semantics import (
     KIND_SYNC,
     VEC,
     Writer,
-    writes_core,
 )
 from .state import CoreMode
 
@@ -101,42 +99,17 @@ MIN_BLOCK = 1
 MAX_BLOCK = 64
 
 
-class MemGuardError(Exception):
-    """A memory-fused vec block's runtime address re-check failed.
-
-    Raised by generated code *before* any state plane is mutated, so
-    the caller peels the whole group bit-exactly and the scalar engine
-    re-arbitrates the access from the block's start PC.
-    """
-
-
 class VecBlock(NamedTuple):
     """One compiled vectorized block.
 
     :param run: ``run(S, idx)`` — applies the block to every core of the
         runs selected by ``idx`` (a row-index array into ``S``); returns
         the per-lane PC array for ``KIND_DIVERGE`` endings, else None.
-        May raise :class:`MemGuardError` (before mutating anything)
-        when a fused memory op's address pattern fails its re-check.
     :param length: instructions covered == cycles per lane.
     :param end_kind: ``KIND_SEQ`` (fall through ``length`` addresses),
         ``KIND_JUMP`` (uniform :attr:`target`) or ``KIND_DIVERGE``.
     :param target: static target for ``KIND_JUMP`` endings.
     :param source: generated Python source (tests/debugging).
-    :param mem: ``()`` for memory-free blocks, else the per-run
-        ``(dm_reads, dm_writes, dm_served)`` D-Xbar counter deltas one
-        execution credits (group-uniform, like the group's cycle count).
-    :param preds: 1 for an if-converted hammock block (see
-        :mod:`repro.compiler.ifconv`).  Its ``run`` follows a different
-        protocol: when every run of the group is *internally* uniform
-        (all cores of a run agree on the branch) it commits both the
-        taken and skipped rows under a row mask — crediting each run's
-        taken-path cycle cost, block count and D-Xbar counters directly
-        to the ``d_*`` planes — and returns None with ``target`` = the
-        join PC.  When any run's cores split internally it mutates
-        *nothing* and returns the per-lane PC matrix of the branch
-        alone (one cycle, the runner diverges exactly like a vanilla
-        BCC block).
     """
 
     run: object
@@ -144,8 +117,6 @@ class VecBlock(NamedTuple):
     end_kind: int
     target: int | None
     source: str
-    mem: tuple = ()
-    preds: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -178,206 +149,31 @@ def _scatter(w: Writer) -> list[str]:
     return [f"    {_plane(name)} = {name}" for name in sorted(w.written)]
 
 
-def _inline_mem(w: Writer, j: int, info: tuple, fact: int,
-                env: MemEnv, masked: bool = False) -> tuple[int, int, int]:
-    """Inline fused memory op ``j``; returns its per-run D-Xbar counter
-    deltas ``(dm_reads, dm_writes, dm_served)``.
-
-    The body computes the ``(runs, cores)`` effective-address matrix,
-    re-checks the pattern the fact promised (raising
-    :class:`MemGuardError` before anything is mutated if it lied) and
-    gathers loads; scatters and priority rotations are deferred past
-    every guard.  Mirrors the arbitration outcomes of the scalar
-    engine's group LD/ST path (``_mem_group``) exactly.
-
-    ``masked`` emits the predicated-hammock form: deferred scatters and
-    priority rotations touch only the rows in ``_hrows`` (the runs whose
-    arm executes).  The guards stay unmasked — a masked-off row whose
-    address pattern would fail only forces a (bit-exact) peel, and the
-    load gathers are harmless because the register restore masks them
-    out.
-    """
-    is_write, rs, imm, rd = info
-    cores = env.num_cores
-    rows = "idx[_hrows]" if masked else "idx"
-    sub = "[_hrows]" if masked else ""
-    # Normalize to a (runs, cores) matrix whatever the operand local is
-    # — a gathered plane, a (runs, 1) broadcast-load result, or a
-    # constant-folded Python int — so the pattern checks below see the
-    # true per-core addresses.
-    w.emit(f"_a{j} = np.broadcast_to(np.asarray("
-           f"({w.reg(rs)} + {imm & MASK}) & 65535), (len(idx), {cores}))")
-    w.emit(f"if (_a{j} >= {env.dm_words}).any(): raise MemGuard")
-    if fact == 0 and cores > 1:
-        # Shared broadcast read (uniform writes are never fused
-        # multi-core): one bank read serves all cores of each run, and
-        # with every core requesting, the rotating priority's winner is
-        # the priority holder itself.
-        w.emit(f"_u{j} = _a{j}[:, 0]")
-        w.emit(f"if not (_a{j} == _u{j}[:, None]).all(): raise MemGuard")
-        if env.dm_interleaved:
-            w.emit(f"_b{j} = _u{j} % {env.dm_banks}")
-        else:
-            w.emit(f"_b{j} = _u{j} // {env.dm_bank_words}")
-        w.emit(f"{w.reg(rd, write=True)} = S.dm[idx, _u{j}][:, None]")
-        w.defer(f"S.prio[{rows}, _b{j}{sub}] = "
-                f"(S.prio[{rows}, _b{j}{sub}] + 1) % {cores}")
-        return 1, 0, cores
-    # Private-bank pattern: every core must win its own bank.
-    if env.dm_interleaved:
-        w.emit(f"_b{j} = _a{j} % {env.dm_banks}")
-    else:
-        w.emit(f"_b{j} = _a{j} // {env.dm_bank_words}")
-    if cores > 1:
-        w.emit(f"if not (np.diff(np.sort(_b{j}, axis=1), axis=1) != 0)"
-               f".all(): raise MemGuard")
-    if is_write:
-        if masked:
-            # the masked scatter row-indexes the value, so a
-            # constant-folded operand must be broadcast to the full
-            # (runs, cores) matrix first
-            w.emit(f"_s{j} = np.broadcast_to(np.asarray("
-                   f"{w.reg(rd)} & 65535), (len(idx), {cores}))")
-        else:
-            w.emit(f"_s{j} = {w.reg(rd)} & 65535")
-        w.defer(f"S.dm[{rows}[:, None], _a{j}{sub}] = _s{j}{sub}")
-    else:
-        w.emit(f"{w.reg(rd, write=True)} = S.dm[idx[:, None], _a{j}]")
-    w.defer(f"S.prio[{rows}[:, None], _b{j}{sub}] = "
-            f"((S.coreid_row + 1) % {cores})[None, :]")
-    if is_write:
-        return 0, cores, cores
-    return cores, 0, cores
-
-
-def _compile_hammock(h, decoded: list, env: MemEnv | None) -> VecBlock:
-    """Compile hammock ``h`` into a predicated :class:`VecBlock`.
-
-    The generated ``run`` evaluates the branch predicate over the flag
-    planes.  When any run's cores split internally it returns the
-    per-lane PC matrix of the bare branch, mutating nothing.  Otherwise
-    every run is internally uniform and the arm executes under a
-    per-run row mask: arm-written registers and flags are snapshotted
-    before the body and restored on the masked-off rows after it, arm
-    memory scatters touch only the masked-in rows, and each run is
-    credited its own taken-path cycle cost — exactly what the reference
-    cores would have spent on the path they took.
-    """
-    head_ins = decoded[h.head][2]
-    taken_pc = h.head + head_ins.imm + 1
-    fall_pc = h.head + 1
-    aw = Writer(VEC)
-    taken = aw.taken(head_ins.cond)
-    n_mem = 0
-    mem_reads = mem_writes = mem_served = 0
-    for pc in range(h.arm_start, h.arm_start + h.arm_len):
-        kind, info, ins = decoded[pc]
-        if kind == KIND_SEQ:
-            aw.inline(ins, pc)
-            continue
-        reads, writes, served = _inline_mem(aw, n_mem, info,
-                                            env.facts[pc], env, masked=True)
-        mem_reads += reads
-        mem_writes += writes
-        mem_served += served
-        n_mem += 1
-    cost_arm = h.cost_taken if h.arm_on_taken else h.cost_not_taken
-    cost_skip = h.cost_not_taken if h.arm_on_taken else h.cost_taken
-    written = sorted(aw.written)
-    # The predicate/mask locals are spelled ``_h*`` — a namespace the
-    # rendered statements and memory ops never touch.
-    lines = ["def run(S, idx):", *_gather(aw),
-             f"    _ht = {taken}",
-             "    if not (_ht == _ht[:, :1]).all():",
-             f"        return np.where(_ht, {taken_pc}, {fall_pc})",
-             f"    _hp = {'' if h.arm_on_taken else '~'}_ht[:, 0]",
-             "    _hm = _hp[:, None]",
-             "    _hrows = np.flatnonzero(_hp)",
-             *[f"    _o_{name} = {name}" for name in written],
-             *aw.body, *aw.deferred,
-             *[f"    {name} = np.where(_hm, {name}, _o_{name})"
-               for name in written],
-             *_scatter(aw),
-             f"    _hc = np.where(_hp, {cost_arm}, {cost_skip})",
-             "    S.d_cycles[idx] += _hc",
-             "    S.d_pred_cycles[idx] += _hc",
-             "    S.d_blocks[idx] += 1",
-             "    S.d_preds[idx] += 1"]
-    for plane, count in (("reads", mem_reads), ("writes", mem_writes),
-                         ("served", mem_served)):
-        if count:
-            lines.append(f"    S.d_dm_{plane}[idx] += "
-                         f"np.where(_hp, {count}, 0)")
-    lines.append("    return None")
-    source = "\n".join(lines) + "\n"
-    namespace: dict = {"np": np, "MemGuard": MemGuardError}
-    exec(compile(source, f"<vec-pred@{h.head}>", "exec"), namespace)
-    length = max(h.cost_taken, h.cost_not_taken)
-    return VecBlock(namespace["run"], length, KIND_JUMP, h.join, source,
-                    (), 1)
-
-
-def compile_block(decoded: list, start: int,
-                  env: MemEnv | None = None,
-                  hammocks: dict | None = None) -> VecBlock | None:
+def compile_block(decoded: list, start: int) -> VecBlock | None:
     """Compile the vectorized block beginning at IM address ``start``.
 
-    Same discovery rules as :func:`repro.cpu.blocks.compile_block` —
-    including memory fusion when ``env`` carries address-shape facts —
+    Same discovery rules as :func:`repro.cpu.blocks.compile_block`,
     except that a lone terminator compiles too and :data:`MIN_BLOCK`
     is 1 — with hundreds of lanes per call even a singleton pays.
     Returns ``None`` when the instruction at ``start`` cannot be
-    vectorized (unfusable memory/sync/stop boundary).
-
-    When ``hammocks`` carries the image's if-conversion facts
-    (:func:`repro.compiler.ifconv.find_hammocks`), a block starting at a
-    vectorizable hammock head compiles into a standalone predicated
-    block spanning exactly ``[head, join)``, and vanilla discovery stops
-    *before* such a head (leaving the branch unconsumed) so the runner
-    falls through to the predicated block instead of diverging.
+    vectorized (memory/sync/stop boundary).
     """
     im_len = len(decoded)
     if start >= im_len or np is None:
         return None
-    if hammocks:
-        h = hammocks.get(start)
-        if h is not None and arm_fits(h, decoded, env):
-            return _compile_hammock(h, decoded, env)
     w = Writer(VEC)
     length = 0
     end_kind = KIND_SEQ
     target: int | None = None
-    n_mem = 0
-    mem_reads = mem_writes = mem_served = 0
-    has_store = False
-    core_writes = False
     pc = start
     while pc < im_len and length < MAX_BLOCK:
-        rec = decoded[pc]
-        kind, info, ins = rec
-        if kind == KIND_SEQ or kind == KIND_MEM:
-            if not joinable(rec, pc, env, mem=bool(n_mem), store=has_store,
-                            core_writes=core_writes):
-                break
-            if kind == KIND_SEQ:
-                w.inline(ins, pc)
-                core_writes = core_writes or writes_core(ins)
-            else:
-                reads, writes, served = _inline_mem(w, n_mem, info,
-                                                    env.facts[pc], env)
-                mem_reads += reads
-                mem_writes += writes
-                mem_served += served
-                n_mem += 1
-                has_store = has_store or info[0]
+        kind, _, ins = decoded[pc]
+        if kind == KIND_SEQ:
+            w.inline(ins, pc)
             length += 1
             pc += 1
             continue
         if kind in (KIND_JUMP, KIND_DIVERGE):
-            if (kind == KIND_DIVERGE and hammocks and length
-                    and pc in hammocks
-                    and arm_fits(hammocks[pc], decoded, env)):
-                break   # stop before the head: it compiles predicated
             next_pc = w.inline(ins, pc)
             if kind == KIND_JUMP:
                 target = literal_eval(next_pc)
@@ -388,15 +184,13 @@ def compile_block(decoded: list, start: int,
         break
     if length < MIN_BLOCK:
         return None
-    body = _gather(w) + w.body + w.deferred + _scatter(w)
+    body = _gather(w) + w.body + _scatter(w)
     if end_kind == KIND_DIVERGE:
         body.append("    return _pcs")
     source = "\n".join(["def run(S, idx):"] + (body or ["    pass"])) + "\n"
-    namespace: dict = {"np": np, "MemGuard": MemGuardError}
+    namespace: dict = {"np": np}
     exec(compile(source, f"<vec@{start}+{length}>", "exec"), namespace)
-    mem = (mem_reads, mem_writes, mem_served) if n_mem else ()
-    return VecBlock(namespace["run"], length, end_kind, target, source,
-                    mem)
+    return VecBlock(namespace["run"], length, end_kind, target, source)
 
 
 class VecTable(BlockTable):
@@ -410,10 +204,10 @@ class VecTable(BlockTable):
     at = BlockTable.at
 
 
-def table_for(program, config=None) -> VecTable:
+def table_for(program) -> VecTable:
     """The shared :class:`VecTable` for ``program``'s built image (see
     :func:`repro.cpu.blocks.cached_table`, whose cache it shares)."""
-    return cached_table(VecTable, program, config)
+    return cached_table(VecTable, program)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +230,7 @@ class VecState:
         "dm", "prio",
         "start_cycles", "d_cycles", "d_blocks",
         "d_dm_reads", "d_dm_writes", "d_dm_served",
-        "d_syncs", "d_releases", "d_diverges",
-        "d_preds", "d_pred_cycles", "width",
+        "d_syncs", "d_releases", "d_diverges", "width",
     )
 
 
@@ -476,8 +269,6 @@ def _build_state(machines: list) -> VecState:
     S.d_dm_served = np.zeros(N, dtype=np.int64)
     S.d_syncs = np.zeros(N, dtype=np.int64)
     S.d_releases = np.zeros(N, dtype=np.int64)
-    S.d_preds = np.zeros(N, dtype=np.int64)
-    S.d_pred_cycles = np.zeros(N, dtype=np.int64)
     S.d_diverges = np.zeros(N, dtype=np.int64)
     S.width = np.zeros(N, dtype=np.int64)
     return S
@@ -609,7 +400,7 @@ class _FamilyRunner:
         self.config = machine.config
         self.decoded = machine._decoded
         self.im_len = len(self.decoded)
-        self.table = table_for(machine.program, machine.config)
+        self.table = table_for(machine.program)
         self.S = _build_state(machines)
         self.worklist: list[_Group] = [
             _Group(np.arange(self.N, dtype=np.int64), machine.cores[0].pc)]
@@ -643,41 +434,9 @@ class _FamilyRunner:
                 if base + g.executed + blk.length > limit:
                     self._peel(g, None, "horizon")
                     return
-                if blk.preds:
-                    # If-converted hammock.  None means the block
-                    # committed both paths masked and credited each
-                    # run's own cycle cost to the d_* planes itself;
-                    # a PC matrix means some run's cores split
-                    # internally, nothing was mutated, and the block
-                    # degenerates to the bare one-cycle branch.
-                    try:
-                        pcs = blk.run(S, idx)
-                    except MemGuardError:
-                        self._peel(g, None, "mem")
-                        return
-                    if pcs is None:
-                        base = int((S.start_cycles[idx]
-                                    + S.d_cycles[idx]).max())
-                        g.pc = blk.target
-                        continue
-                    g.executed += 1
-                    g.blocks += 1
-                    self._diverge(g, np.asarray(pcs))
-                    return
-                try:
-                    pcs = blk.run(S, idx)
-                except MemGuardError:
-                    # A fused memory op's address re-check failed before
-                    # anything was mutated: the scalar engine (or the
-                    # reference) re-arbitrates from this PC.
-                    self._peel(g, None, "mem")
-                    return
+                pcs = blk.run(S, idx)
                 g.executed += blk.length
                 g.blocks += 1
-                if blk.mem:
-                    g.dm_reads += blk.mem[0]
-                    g.dm_writes += blk.mem[1]
-                    g.dm_served += blk.mem[2]
                 end = blk.end_kind
                 if end == KIND_SEQ:
                     g.pc = pc + blk.length
@@ -985,10 +744,6 @@ class _FamilyRunner:
             stats.max_width = max(stats.max_width, width)
             if reason != "stop":
                 engine_stats.peel_count += 1
-                if reason == "mem":
-                    # a fused memory block's address re-check failed —
-                    # same runtime abort the scalar engine tallies
-                    engine_stats.term_guard += 1
             cycles = int(S.d_cycles[i])
             if not cycles:
                 continue
@@ -997,10 +752,6 @@ class _FamilyRunner:
             engine_stats.vector_cycles += cycles
             stats.vector_cycles += cycles
             stats.vector_blocks += vec_blocks
-            preds = int(S.d_preds[i])
-            if preds:
-                engine_stats.pred_blocks += preds
-                engine_stats.pred_cycles += int(S.d_pred_cycles[i])
             diverges = int(S.d_diverges[i])
             if diverges:
                 engine_stats.term_diverge += diverges

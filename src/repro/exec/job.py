@@ -48,7 +48,9 @@ from ..platform import PlatformConfig
 #: ``pred_cycles`` / ``pred_aborts`` — and batched payloads carry
 #: ``batch_refused``: the entry-guard reason when a run silently fell
 #: back to scalar dispatch inside its batch)
-SCHEMA = 5
+#: (6: ``engine`` drops the memory-fusion counters, ``term_guard`` and
+#: ``pred_cycles``: superblocks no longer fuse LD/STs or predicate)
+SCHEMA = 6
 
 DEFAULT_SAMPLES = 64
 DEFAULT_SEED = 2013

@@ -56,13 +56,6 @@ class AssemblyError(ValueError):
 
 
 _LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):")
-#: access-shape marker on LD/ST lines (emitted by the minic compiler or
-#: hand-written assembly): ``;@mem=U`` claims a core-uniform effective
-#: address, ``;@mem=A<k>`` a coreid-affine address with stride ``k``
-_MEM_MARKER_RE = re.compile(r";@mem=(?:(U)\b|A(\d+))")
-#: marker the compiler appends to branches it generated for ``if``
-#: statements — a hint (not a requirement) for the hammock analysis
-_IFCONV_MARKER = ";@ifconv"
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>0[xX][0-9a-fA-F]+|0[bB][01]+|\d+)"
     r"|(?P<sym>[A-Za-z_.$][\w.$]*)"
@@ -101,12 +94,6 @@ class _Item:
     line: int
     address: int = 0
     size: int = 1
-    #: ``;@mem=`` access-shape fact for LD/ST (0 = uniform, k = stride)
-    mem_stride: int | None = None
-    #: ``;@ifconv`` hint on a conditional branch: the compiler asserts
-    #: this is an ``if`` statement's branch, so the hammock analysis may
-    #: use its larger arm budget here
-    ifconv: bool = False
 
 
 @dataclass
@@ -135,7 +122,6 @@ class Assembler:
             current_block = None
 
         for lineno, raw in enumerate(source.splitlines(), start=1):
-            mem_stride = _parse_mem_marker(raw)
             line = _strip_comment(raw).strip()
             while True:
                 m = _LABEL_RE.match(line)
@@ -196,10 +182,6 @@ class Assembler:
                 raise AssemblyError("instruction inside .data section", lineno)
             item = self._parse_statement(head_up, rest, lineno)
             item.address = code_addr
-            if mem_stride is not None and head_up in ("LD", "ST"):
-                item.mem_stride = mem_stride
-            if _IFCONV_MARKER in raw:
-                item.ifconv = True
             code_addr += item.size
             items.append(item)
 
@@ -217,9 +199,6 @@ class Assembler:
                 program.instructions.append(ins)
                 program.source_map[len(program.instructions) - 1] = (
                     f"{item.mnemonic} (line {item.line})")
-            if item.mem_stride is not None:
-                # LD/ST items are always one instruction at item.address
-                program.mem_facts[item.address] = item.mem_stride
         for base, entries in data_blocks:
             values = []
             for entry in entries:
@@ -233,13 +212,6 @@ class Assembler:
             if entry_symbol not in program.symbols:
                 raise AssemblyError(f"unknown entry symbol {entry_symbol!r}")
             program.entry = program.symbols[entry_symbol]
-
-        # Stamp if-conversion facts onto the image (deferred import: the
-        # compiler package imports this module at load time).
-        from ..compiler.ifconv import find_hammocks
-
-        hints = {item.address for item in items if item.ifconv}
-        program.hammocks = find_hammocks(program, hints=hints)
         return program
 
     # ------------------------------------------------------------------
@@ -535,16 +507,6 @@ def _split_equ(rest: str, line: int) -> tuple[str, str]:
     if not name or not expr.strip():
         raise AssemblyError(".equ needs a name and a value", line)
     return name, expr.strip()
-
-
-def _parse_mem_marker(raw: str) -> int | None:
-    """Extract a ``;@mem=`` access-shape fact from a raw source line."""
-    m = _MEM_MARKER_RE.search(raw)
-    if not m:
-        return None
-    if m.group(1):
-        return 0
-    return int(m.group(2)) & 0xFFFF
 
 
 def _strip_comment(line: str) -> str:

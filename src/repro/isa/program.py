@@ -50,18 +50,6 @@ class Program:
     symbols: dict[str, int] = field(default_factory=dict)
     entry: int = 0
     source_map: dict[int, str] = field(default_factory=dict)
-    #: IM address -> statically-proven LD/ST address shape (``0`` =
-    #: core-uniform effective address, ``k`` = coreid-affine with stride
-    #: ``k``).  Produced from ``;@mem=`` markers; consumed by the
-    #: superblock builder to fuse across memory instructions.  Part of
-    #: :meth:`digest` (versioned) so block caches invalidate correctly.
-    mem_facts: dict[int, int] = field(default_factory=dict)
-    #: IM address of a conditional branch -> :class:`Hammock` fact
-    #: (see :mod:`repro.compiler.ifconv`): a short, side-effect-bounded
-    #: if/else diamond the superblock builders may if-convert into a
-    #: branch-free predicated block.  Stamped by the assembler; part of
-    #: :meth:`digest` (versioned) so block caches invalidate correctly.
-    hammocks: dict[int, tuple] = field(default_factory=dict)
     #: lazily-built predecoded dispatch records (see
     #: :func:`repro.cpu.predecode.predecode`); cached here so every
     #: machine running this image shares one compilation.
@@ -118,19 +106,6 @@ class Program:
                 h.update(",".join(map(str, block.values)).encode())
             for name, address in sorted(self.symbols.items()):
                 h.update(f"{name}={address};".encode())
-            if self.mem_facts:
-                # versioned so fact-free images keep their prior digests
-                # while any change to the fact set (or its meaning)
-                # invalidates derived block caches
-                h.update(b"memfacts/v1;")
-                for address, stride in sorted(self.mem_facts.items()):
-                    h.update(f"{address}={stride};".encode())
-            if self.hammocks:
-                h.update(b"hammocks/v1;")
-                for head, hm in sorted(self.hammocks.items()):
-                    h.update(f"{head}:{hm.arm_start}+{hm.arm_len}"
-                             f":{int(hm.arm_on_taken)}:{hm.join};"
-                             .encode())
             self._digest_cache = h.hexdigest()
         return self._digest_cache
 

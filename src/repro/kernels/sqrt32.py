@@ -44,29 +44,29 @@ __start:
     MOV R6, R2
     LI R1, #1024
     ADD R6, R6, R1          ; R6 = scratch base
-    ST R2, [R6 + #2]        ; in_ptr = base ;@mem=A2048
+    ST R2, [R6 + #2]        ; in_ptr = base
     LI R1, #512
     ADD R3, R2, R1
-    ST R3, [R6 + #3]        ; out_ptr = base + 512 ;@mem=A2048
+    ST R3, [R6 + #3]        ; out_ptr = base + 512
     LI R1, #SHARED
-    LD R1, [R1]            ;@mem=U
+    LD R1, [R1]
     SRLI R1, #{WINDOW_SHIFT}
-    ST R1, [R6 + #4]        ; windows = n_samples / 8 ;@mem=A2048
+    ST R1, [R6 + #4]        ; windows = n_samples / 8
     LI R1, #SYNCBASE
     MTSR RSYNC, R1
 
 window_loop:
-    LD R1, [R6 + #4]        ;@mem=A2048
+    LD R1, [R6 + #4]
     CMPI R1, #0
     LBEQ done
 
     ; ---- acc = sum of squares over 8 samples (32-bit in R4:R5) ----
     CLR R4
     CLR R5
-    LD R2, [R6 + #2]        ;@mem=A2048
+    LD R2, [R6 + #2]
     LDI R3, #{WINDOW}
 acc_loop:
-    LD R0, [R2]        ;@mem=A2048
+    LD R0, [R2]
     MUL R1, R0, R0
     MULH R0, R0, R0
     ADD R5, R5, R1
@@ -74,7 +74,7 @@ acc_loop:
     ADDI R2, R2, #1
     ADDI R3, R3, #-1
     BNE acc_loop
-    ST R2, [R6 + #2]        ;@mem=A2048
+    ST R2, [R6 + #2]
 
     ; ---- mean: acc >>= 3 ----
     SRLI R5, #{WINDOW_SHIFT}
@@ -82,8 +82,8 @@ acc_loop:
     SLLI R7, #{16 - WINDOW_SHIFT}
     OR R5, R5, R7
     SRLI R4, #{WINDOW_SHIFT}
-    ST R4, [R6 + #0]        ; x_hi ;@mem=A2048
-    ST R5, [R6 + #1]        ; x_lo ;@mem=A2048
+    ST R4, [R6 + #0]        ; x_hi
+    ST R5, [R6 + #1]        ; x_lo
 
     ; ---- c = isqrt32(x) (non-restoring, Rolfe) ----
 ;@sync begin isqrt
@@ -93,11 +93,11 @@ acc_loop:
     CLR R3
 ;@sync begin align
 align_loop:
-    LD R7, [R6 + #0]        ;@mem=A2048
+    LD R7, [R6 + #0]
     CMP R2, R7              ; d_hi vs x_hi
     BLTU aligned
     BNE do_shift
-    LD R7, [R6 + #1]        ;@mem=A2048
+    LD R7, [R6 + #1]
     CMP R3, R7              ; d_lo vs x_lo
     BLTU aligned
     BEQ aligned
@@ -119,20 +119,20 @@ sqrt_loop:
     ADD R5, R1, R3          ; t = c + d
     ADC R4, R0, R2
 ;@sync begin trial
-    LD R7, [R6 + #0]        ;@mem=A2048
+    LD R7, [R6 + #0]
     CMP R7, R4              ; x_hi vs t_hi
     BLTU no_sub
     BNE do_sub
-    LD R7, [R6 + #1]        ;@mem=A2048
+    LD R7, [R6 + #1]
     CMP R7, R5
     BLTU no_sub
 do_sub:
-    LD R7, [R6 + #1]        ; x -= t ;@mem=A2048
+    LD R7, [R6 + #1]        ; x -= t
     SUB R7, R7, R5
-    ST R7, [R6 + #1]        ;@mem=A2048
-    LD R7, [R6 + #0]        ;@mem=A2048
+    ST R7, [R6 + #1]
+    LD R7, [R6 + #0]
     SBC R7, R7, R4
-    ST R7, [R6 + #0]        ;@mem=A2048
+    ST R7, [R6 + #0]
     SRLI R1, #1             ; c = (c >> 1) + d
     MOV R7, R0
     SLLI R7, #15
@@ -158,13 +158,13 @@ trial_join:
 sqrt_done:
 ;@sync end
 
-    LD R7, [R6 + #3]        ; *out_ptr++ = c ;@mem=A2048
-    ST R1, [R7]        ;@mem=A2048
+    LD R7, [R6 + #3]        ; *out_ptr++ = c
+    ST R1, [R7]
     ADDI R7, R7, #1
-    ST R7, [R6 + #3]        ;@mem=A2048
-    LD R1, [R6 + #4]        ; windows-- ;@mem=A2048
+    ST R7, [R6 + #3]
+    LD R1, [R6 + #4]        ; windows--
     ADDI R1, R1, #-1
-    ST R1, [R6 + #4]        ;@mem=A2048
+    ST R1, [R6 + #4]
     BR window_loop
 
 done:

@@ -68,7 +68,6 @@ class ExecProfile:
                        ).get("cycles", 0),
             "fused_blocks": engine.get("fused_blocks", 0),
             "fused_cycles": engine.get("fused_cycles", 0),
-            "mem_fused_ops": engine.get("mem_fused_ops", 0),
         })
 
     # -- derived ---------------------------------------------------------
@@ -146,6 +145,5 @@ def profile_from_dict(doc: dict | None) -> ExecProfile | None:
             "cycles": row.get("cycles", 0),
             "fused_blocks": row.get("fused_blocks", 0),
             "fused_cycles": row.get("fused_cycles", 0),
-            "mem_fused_ops": row.get("mem_fused_ops", 0),
         })
     return profile

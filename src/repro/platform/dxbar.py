@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import PlatformConfig
+from .memory import MemoryError_
 from .trace import ActivityTrace
 
 
@@ -140,6 +141,8 @@ class DataCrossbar:
         :param requests: outstanding requests, one per core at most.
         :param busy_banks: banks whose port is used by the synchronizer
             this cycle (its accesses have priority).
+        :raises MemoryError_: a request addresses a word outside DM, under
+            either banking mode, before any bank is served.
         """
         if not requests:
             # Early-out on traffic-free cycles: no per-bank grouping, no
@@ -150,8 +153,13 @@ class DataCrossbar:
         released: set[int] = set()
         denied: set[int] = set()
 
+        size = len(self._memory.words)
         by_bank: dict[int, list[DmRequest]] = {}
         for req in requests:
+            if not 0 <= req.address < size:
+                raise MemoryError_(
+                    f"{'write to' if req.is_write else 'read from'} "
+                    f"{req.address} out of range")
             by_bank.setdefault(config.dm_bank_of(req.address), []).append(req)
 
         for bank, reqs in by_bank.items():

@@ -23,17 +23,14 @@ crossbar's own rule, :func:`~repro.platform.dxbar.serve_bank`.
 
 **Superblock fusion** — inside a burst the engine still pays one closure
 call per instruction per core.  :mod:`repro.cpu.blocks` compiles every
-straight-line run (ending at jump/branch/memory boundaries) into one
-fused function, so a burst advances whole blocks at a time: one fused
-call per running core covers the block's cycles, with the activity
-counters bulk-credited for the run.  A fused call is only made when the
-burst has already proven that many uninterrupted cycles (PC uniform, no
-pending IRQ/sync/memory work, horizon clearance); any guard failure
-**deoptimizes** to the reference ``step()`` for that cycle, counted in
-:attr:`EngineStats.deopt_count`.  A predicated block (if-converted
-hammocks) whose cores disagree on an arm is not a deopt: the burst runs
-the block's instructions before its first hammock branch one at a time,
-executes that branch, and ends on the divergence it causes.
+straight-line run (ending at jump/branch boundaries and at every LD/ST,
+which the group path above serves) into one fused function, so a burst
+advances whole blocks at a time: one fused call per running core covers
+the block's cycles, with the activity counters bulk-credited for the
+run.  A fused call is only made when the burst has already proven that
+many uninterrupted cycles (PC uniform, no pending IRQ/sync/memory work,
+horizon clearance); any guard failure **deoptimizes** to the reference
+``step()`` for that cycle, counted in :attr:`EngineStats.deopt_count`.
 
 **Divergent bursts** — when running cores sit at *different* PCs (or IM
 broadcast is off), the reference serializes fetches through per-bank
@@ -151,39 +148,24 @@ class EngineStats:
     #: replayed by the reference ``step()``, which the burst hands it to
     #: at once.  Burst endings that need no
     #: fallback (horizon, convergence, divergence, a served group
-    #: leaving its IM bank, a predicated block's cores disagreeing on an
-    #: arm, a checkpoint RMW that sleeps or wakes cores, a lockstep one
-    #: that ``step()`` must run) are not deopts.
+    #: leaving its IM bank, a checkpoint RMW that sleeps or wakes
+    #: cores, a lockstep one that ``step()`` must run) are not deopts.
     deopt_count: int = 0
-    #: executions of fused blocks containing inlined memory ops, and
-    #: the fused LD/STs those executions served (per block execution,
-    #: not per core — mirrors ``fused_blocks``)
-    mem_fused_blocks: int = 0
-    mem_fused_ops: int = 0
     #: block-termination census: every fused-block execution credits
     #: the reason its block stopped fusing further instructions —
-    #: an unfusable memory op (``term_mem``), a synchronizer op
-    #: (``term_sync``), a mode change / unfusable instruction / end of
-    #: image (``term_stop``), a control-flow terminator
-    #: (``term_diverge``), or the MAX_BLOCK cap (``term_cap``).
-    #: ``term_guard`` instead counts *runtime* aborts: a memory-fused
-    #: block whose cross-core address re-check failed (wrong or
-    #: config-defeated fact) and was rolled back before committing.
+    #: an LD/ST (``term_mem``), a synchronizer op (``term_sync``), a
+    #: mode change / unfusable instruction / end of image
+    #: (``term_stop``), a control-flow terminator (``term_diverge``),
+    #: or the MAX_BLOCK cap (``term_cap``).
     term_mem: int = 0
     term_sync: int = 0
     term_stop: int = 0
     term_diverge: int = 0
     term_cap: int = 0
-    term_guard: int = 0
-    #: if-converted (predicated) fused-block executions: the block
-    #: computed both hammock arms branch-free and charged the taken
-    #: path's cycle cost, and the cycles those executions consumed
+    #: always 0: no block is predicated.  Kept in :meth:`as_dict` only
+    #: because the repo benchmark's tracer reads both keys for its
+    #: ``platform.engine.pred_abort_frac`` metric.
     pred_blocks: int = 0
-    pred_cycles: int = 0
-    #: predicated executions rolled back because the cores disagreed on
-    #: which arms they took, once per disagreement: the burst runs the
-    #: block's instructions before its first hammock branch one at a
-    #: time, and the divergent burst serves the arms (not a deopt)
     pred_aborts: int = 0
     #: merged SINC/SDEC read-modify-writes replayed (two cycles each)
     #: by the lockstep or divergent burst, or the batch engine, instead
@@ -227,16 +209,12 @@ class EngineStats:
             "fused_blocks": self.fused_blocks,
             "fused_cycles": self.fused_cycles,
             "deopt_count": self.deopt_count,
-            "mem_fused_blocks": self.mem_fused_blocks,
-            "mem_fused_ops": self.mem_fused_ops,
             "term_mem": self.term_mem,
             "term_sync": self.term_sync,
             "term_stop": self.term_stop,
             "term_diverge": self.term_diverge,
             "term_cap": self.term_cap,
-            "term_guard": self.term_guard,
             "pred_blocks": self.pred_blocks,
-            "pred_cycles": self.pred_cycles,
             "pred_aborts": self.pred_aborts,
             "sync_fused_rmws": self.sync_fused_rmws,
             "batched_runs": self.batched_runs,
@@ -398,12 +376,12 @@ class FastEngine:
         other bank conflicts — ends the burst, as does the cycle before
         the next timer/IRQ event.
 
-        Whole straight-line runs are advanced by **fused superblocks**
-        (:mod:`repro.cpu.blocks`): one fused call per running core
-        covers the block's cycles, provided the block fits under the
-        burst horizon.  Instructions without a fused block (short runs,
-        code adjacent to memory/sync boundaries) take the
-        per-instruction closure path.
+        Whole straight-line runs between those instructions are advanced
+        by **fused superblocks** (:mod:`repro.cpu.blocks`): one fused
+        call per running core covers the block's cycles, provided the
+        block fits under the burst horizon.  Instructions without a
+        fused block (short runs, code adjacent to memory/sync
+        boundaries) take the per-instruction closure path.
 
         :returns: True if at least one cycle was consumed and no guard
             failed.
@@ -432,40 +410,22 @@ class FastEngine:
         block_at = table.at
 
         # The synchronizer is idle (precondition), so no checkpoint word
-        # is locked and no conflict group is draining; inline memory
+        # is locked and no conflict group is draining; group LD/ST
         # cycles stay valid for the whole burst because they can create
         # neither.
         dxbar = machine.dxbar
         mem_ok = not (dxbar.locked_addresses or dxbar._groups)
-        config = machine.config
-        words = machine.dm.words
-        dm_priority = dxbar._priority
-        ncores = config.num_cores
-        interleaved = config.dm_interleaved
-        nb = config.dm_banks
-        bw = config.dm_bank_words
-        dm_reads = dm_writes = dm_served = 0
         # synchronous D-Xbar conflicts replayed in place: the cycles they
         # add beyond one per LD/ST, and their held cores' stall cycles
         held_cycles = stalled = 0
-        mem_blocks = 0
-        mem_ops = 0
         terms: dict = {}
         executed = 0
         n_syncs = 0
         fused_blocks = 0
         fused_cycles = 0
-        pred_blocks_l = 0
-        pred_cycles_l = 0
-        # Blocks are skipped up to this PC: the prefix of a predicated
-        # block whose cores disagreed on an arm, up to its first hammock
-        # branch, runs per instruction (see the abort below).
-        split = -1
         deopt = False
         n = len(running)
         single = running[0] if n == 1 else None
-        coreids = [core.coreid for core in running]
-        reads = (False,) * n
         # A single requester without IM broadcast is served through the
         # per-bank arbitration path, which rotates the bank's priority
         # to (winner + 1) on every fetch; track the banks it touches so
@@ -479,107 +439,13 @@ class FastEngine:
             if pc >= im_len:
                 deopt = True          # let step() raise the fetch error
                 break
-            blk = blocks.get(pc, False) if pc > split else None
+            blk = blocks.get(pc, False)
             if blk is False:
                 blk = block_at(pc)
-            if (blk is not None and cycles + blk[1] <= horizon
-                    and (mem_ok or not blk[5])
-                    and (banks is None or not blk[8])):
+            if blk is not None and cycles + blk[1] <= horizon:
                 run = blk[0]
                 length = blk[1]
-                end_kind = blk[2]
-                memspec = blk[5]
-                preds = blk[8]
-                if memspec or preds:
-                    # Memory-fused / predicated block: pure phase per
-                    # core, re-check the actual cross-core address
-                    # pattern (the static facts are hints, not trusted
-                    # proofs) and cross-core arm agreement, then commit.
-                    # Any failure aborts with *nothing* committed, so
-                    # the reference step() replays from the block start
-                    # bit-exactly.
-                    try:
-                        if single is not None:
-                            outs = (run(single, words),)
-                        else:
-                            outs = [run(core, words) for core in running]
-                    except IndexError:
-                        self.stats.term_guard += 1
-                        deopt = True      # out-of-range: step() faults
-                        break
-                    hp = 0
-                    gates = blk[9]
-                    if preds:
-                        # Lockstep cores must take the same arms, or
-                        # the block-granular cycle accounting (and the
-                        # op-major store order) no longer matches the
-                        # reference.  On disagreement nothing was
-                        # committed: run the instructions before the
-                        # first hammock branch one at a time; that
-                        # branch splits the cores, the burst ends, and
-                        # `_divergent_burst` serves the arms.
-                        hp = outs[0][blk[10]]
-                        if n > 1:
-                            for out in outs:
-                                if out[blk[10]] != hp:
-                                    hp = -1
-                                    break
-                            if hp < 0:
-                                self.stats.pred_aborts += 1
-                                split = blk[12]
-                                continue
-                        length = outs[0][blk[11]]
-                    if n > 1 and memspec and not self._mem_guard(
-                            memspec, outs, n, gates, hp):
-                        self.stats.term_guard += 1
-                        deopt = True      # fact wrong: step() arbitrates
-                        break
-                    # Deferred stores land op-major across cores — the
-                    # reference's cycle order (all cores serve op j
-                    # before any core reaches op j+1).
-                    for j, value_at in blk[6]:
-                        if gates and gates[j] and not hp & gates[j]:
-                            continue      # arm not taken: no store
-                        for out in outs:
-                            words[out[j]] = out[value_at]
-                    commit = blk[7]
-                    for core, out in zip(running, outs):
-                        commit(core, out)
-                    # Replay DataCrossbar priority rotation and bulk-
-                    # credit its counters, op by op in program order.
-                    served_ops = 0
-                    for j, (uniform, is_write) in enumerate(memspec):
-                        if gates and gates[j] and not hp & gates[j]:
-                            continue      # arm not taken: no access
-                        served_ops += 1
-                        if uniform and n > 1:
-                            # one broadcast read of a shared address
-                            addr = outs[0][j]
-                            bank = (addr % nb if interleaved
-                                    else addr // bw)
-                            dm_priority[bank] = serve_bank(
-                                dm_priority[bank], coreids, (addr,) * n,
-                                reads, True, ncores)[1]
-                            dm_reads += 1
-                        else:
-                            for core, out in zip(running, outs):
-                                addr = out[j]
-                                bank = (addr % nb if interleaved
-                                        else addr // bw)
-                                dm_priority[bank] = \
-                                    (core.coreid + 1) % ncores
-                            if is_write:
-                                dm_writes += n
-                            else:
-                                dm_reads += n
-                        dm_served += n
-                    if memspec:
-                        mem_blocks += 1
-                        mem_ops += served_ops
-                    if preds:
-                        pred_blocks_l += 1
-                        pred_cycles_l += length
-                elif single is not None:
+                if single is not None:
                     run(single)
                 else:
                     for core in running:
@@ -594,9 +460,10 @@ class FastEngine:
                     # every fetch of the block rotates its bank: cover
                     # the whole span, which may cross several banks
                     banks.update(range(pc // bank_words,
-                                       (pc + blk[1] - 1) // bank_words + 1))
+                                       (pc + length - 1) // bank_words + 1))
+                end_kind = blk[2]
                 if end_kind == KIND_SEQ:
-                    pc += blk[1]
+                    pc += length
                     continue
                 pc = running[0].pc
                 if end_kind == KIND_JUMP or single is not None:
@@ -626,7 +493,6 @@ class FastEngine:
                     pc += 1
                 else:
                     pc = running[0].pc
-                    split = -1            # past any split hammock
                     if kind != KIND_JUMP:     # divergent control flow
                         diverged = False
                         for core in running:
@@ -704,59 +570,17 @@ class FastEngine:
             priority = machine.ixbar._priority
             for bank in banks:
                 priority[bank] = rotated
-        if dm_served:
-            trace.dm_bank_reads += dm_reads
-            trace.dm_bank_writes += dm_writes
-            trace.dm_served += dm_served
         stats = self.stats
         stats.lockstep_bursts += 1
         stats.lockstep_cycles += busy
         stats.fused_blocks += fused_blocks
         stats.fused_cycles += fused_cycles
-        stats.mem_fused_blocks += mem_blocks
-        stats.mem_fused_ops += mem_ops
-        stats.pred_blocks += pred_blocks_l
-        stats.pred_cycles += pred_cycles_l
         stats.sync_fused_rmws += n_syncs
         for reason, count in terms.items():
             attr = "term_" + reason
             setattr(stats, attr, getattr(stats, attr) + count)
         machine._quiet = False
         return not deopt
-
-    def _mem_guard(self, memspec, outs, n: int, gates: tuple = (),
-                   hp: int = 0) -> bool:
-        """Verify the actual cross-core address pattern of a memory block.
-
-        ``outs[c][j]`` is core ``c``'s effective address for fused op
-        ``j``.  A uniform op must see one shared address (the broadcast
-        read the block was compiled for); an affine op must see pairwise
-        distinct banks (every core wins its private bank).  Anything
-        else could lose D-Xbar arbitration, so the block is abandoned —
-        the compile-time facts were hints, this is the proof.  Gated
-        ops (inside a predicated arm, see ``FusedBlock.gates``) whose
-        arm did not execute report sentinel addresses and are skipped.
-        """
-        config = self._machine.config
-        interleaved = config.dm_interleaved
-        nb = config.dm_banks
-        bw = config.dm_bank_words
-        for j, (uniform, _is_write) in enumerate(memspec):
-            if gates and gates[j] and not hp & gates[j]:
-                continue
-            if uniform:
-                addr = outs[0][j]
-                for out in outs:
-                    if out[j] != addr:
-                        return False
-            else:
-                if interleaved:
-                    banks = {out[j] % nb for out in outs}
-                else:
-                    banks = {out[j] // bw for out in outs}
-                if len(banks) != n:
-                    return False
-        return True
 
     def _checkpoint_rmw(self, group: list, pc: int, ins, cycles: int,
                         horizon: float, fetch: list = (), rec=None):

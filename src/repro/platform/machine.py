@@ -142,16 +142,15 @@ class Machine:
     def _block_table(self):
         """Bind (and memoize) the fused-superblock table for this image.
 
-        Keyed on the image digest (:func:`repro.cpu.blocks.table_for`)
-        plus the memory geometry when the image carries address-shape
-        facts, so every machine running the same built image on the
-        same geometry — across sweep requests and repeated benchmark
+        Keyed on the image digest (:func:`repro.cpu.blocks.table_for`),
+        so every machine running the same built image — across sweep
+        requests, platform configurations and repeated benchmark
         constructions — shares one compiled table.
         """
         if self._blocks is None:
             from ..cpu.blocks import table_for
 
-            self._blocks = table_for(self.program, self.config)
+            self._blocks = table_for(self.program)
         return self._blocks
 
     @classmethod

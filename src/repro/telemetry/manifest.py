@@ -46,7 +46,9 @@ from pathlib import Path
 #: (6: rows carry the ``cache_tier`` that served a hit; the manifest
 #: may carry a ``trace_id`` (service jobs) and a ``profile`` section
 #: (per-phase wall/CPU timings and top-N run self-time, ``--profile``))
-MANIFEST_SCHEMA = 6
+#: (7: rows and totals drop ``mem_fused_blocks``/``mem_fused_ops`` and
+#: ``term_guard``: superblocks no longer fuse LD/STs)
+MANIFEST_SCHEMA = 7
 
 
 def telemetry_summary(payload: dict | None) -> dict | None:
@@ -86,11 +88,9 @@ def telemetry_summary(payload: dict | None) -> dict | None:
         summary["vector_width"] = engine.get("vector_width", 0)
         summary["vector_cycles"] = engine.get("vector_cycles", 0)
         summary["peel_count"] = engine.get("peel_count", 0)
-        # memory-fusion digest (schema 4 payloads onward)
-        summary["mem_fused_blocks"] = engine.get("mem_fused_blocks", 0)
-        summary["mem_fused_ops"] = engine.get("mem_fused_ops", 0)
+        # barrier replays and the block-termination census
         summary["sync_fused_rmws"] = engine.get("sync_fused_rmws", 0)
-        for reason in ("mem", "sync", "stop", "diverge", "cap", "guard"):
+        for reason in ("mem", "sync", "stop", "diverge", "cap"):
             key = "term_" + reason
             summary[key] = engine.get(key, 0)
     return summary
@@ -219,10 +219,9 @@ def _aggregate_telemetry(summaries: list[dict]) -> dict | None:
     keys = ("cycles", "retired_ops", "sync_wait_cycles", "sync_wakeups",
             "im_bank_accesses", "dm_conflict_cycles", "fast_cycles",
             "fused_blocks", "fused_cycles", "deopt_count",
-            "vector_cycles", "peel_count",
-            "mem_fused_blocks", "mem_fused_ops", "sync_fused_rmws",
+            "vector_cycles", "peel_count", "sync_fused_rmws",
             "term_mem", "term_sync", "term_stop", "term_diverge",
-            "term_cap", "term_guard")
+            "term_cap")
     return {key: sum(s.get(key, 0) for s in summaries) for key in keys}
 
 
@@ -314,11 +313,6 @@ def summarize_manifest(path) -> str:
                     f"cycles, {totals['fused_cycles']} fused over "
                     f"{totals['fused_blocks']} superblocks, "
                     f"{totals['deopt_count']} deopts")
-            if totals.get("mem_fused_blocks"):
-                lines.append(
-                    f"  memory fusion: {totals['mem_fused_ops']} LD/ST "
-                    f"fused inside {totals['mem_fused_blocks']} blocks, "
-                    f"{totals['term_guard']} guard deopts")
             if totals.get("sync_fused_rmws"):
                 lines.append(
                     f"  barrier fast path: {totals['sync_fused_rmws']} "

@@ -8,8 +8,7 @@ def payload(elapsed, cycles=1000, fused_cycles=0, fused_blocks=0):
     return {"elapsed": elapsed,
             "run": {"trace": {"cycles": cycles}},
             "engine": {"fused_blocks": fused_blocks,
-                       "fused_cycles": fused_cycles,
-                       "mem_fused_ops": 0}}
+                       "fused_cycles": fused_cycles}}
 
 
 class TestPhases:

@@ -10,6 +10,9 @@
   semantics table (:data:`repro.cpu.semantics.FORMS`), with random
   operand fields; :func:`core_states`, :func:`clone` and
   :func:`snapshot` are the per-core state helpers that go with it.
+- :func:`if_programs` — minic kernels whose cores take different arms
+  of data-dependent ``if`` statements, the shared program strategy for
+  divergence differentials.
 """
 
 from dataclasses import astuple
@@ -139,3 +142,52 @@ def snapshot(core: CoreState) -> tuple:
     return (tuple(core.regs), core.pc, core.mode,
             core.flag_z, core.flag_n, core.flag_c, core.flag_v,
             core.epc, core.ivec, core.status, core.rsync)
+
+
+# ---------------------------------------------------------------------------
+# Programs
+# ---------------------------------------------------------------------------
+
+_COND_TEMPLATES = [
+    "({v} & {k})", "({v} > {w})", "({v} < {k})", "({v} != {w})",
+    "(({v} ^ {w}) & {k})",
+]
+_ARM_TEMPLATES = [
+    "{t} = {t} + {w};", "{t} = {t} - {k};", "{t} = {t} ^ {w};",
+    "{t} = {w} * {k};", "{t} = {t} + {k}; {u} = {u} ^ {t};",
+]
+_VARS = ["a", "b", "c"]
+
+
+@st.composite
+def if_programs(draw):
+    """A minic kernel made of guarded single-arm assignments.
+
+    Core ``id`` reads ``in[id]`` and writes ``out[id]``; every ``if``
+    tests values derived from its own input, so the cores of one run
+    (and the runs of one batch) take different arms.
+    """
+    lines = [
+        "int in[8];",
+        "int out[8];",
+        "void main() {",
+        "    int id = __coreid();",
+        "    int x = in[id];",
+        "    int a = x * 3 + id;",
+        "    int b = x - 5;",
+        "    int c = (x >> 2) ^ id;",
+    ]
+    for _ in range(draw(st.integers(2, 5))):
+        cond = draw(st.sampled_from(_COND_TEMPLATES)).format(
+            v=draw(st.sampled_from(_VARS + ["x"])),
+            w=draw(st.sampled_from(_VARS)),
+            k=draw(st.integers(1, 7)))
+        target = draw(st.sampled_from(_VARS))
+        other = draw(st.sampled_from(_VARS))
+        arm = draw(st.sampled_from(_ARM_TEMPLATES)).format(
+            t=target, u=other, w=draw(st.sampled_from(_VARS + ["x"])),
+            k=draw(st.integers(1, 7)))
+        lines.append(f"    if {cond} {{ {arm} }}")
+    lines.append("    out[id] = (a ^ b) + c;")
+    lines.append("}")
+    return "\n".join(lines)

@@ -28,6 +28,24 @@ class TestProgramLimits:
         with pytest.raises(ExecutionError):
             machine.run(max_cycles=100)
 
+    @pytest.mark.parametrize("fast_engine", [False, True],
+                             ids=["step", "fast"])
+    @pytest.mark.parametrize("op,verb", [("LD R2, [R1]", "read from"),
+                                         ("ST R2, [R1]", "write to")],
+                             ids=["load", "store"])
+    @pytest.mark.parametrize("interleaved", [False, True],
+                             ids=["blocked", "interleaved"])
+    def test_out_of_range_data_access_names_the_fault(
+            self, interleaved, op, verb, fast_engine):
+        from repro.platform.memory import MemoryError_
+
+        machine = Machine.from_assembly(
+            f"LI R1, #32767\nADDI R1, R1, #5\n{op}\nHALT",
+            PlatformConfig(num_cores=2, dm_interleaved=interleaved),
+            fast_engine=fast_engine)
+        with pytest.raises(MemoryError_, match=f"{verb} 32772 out of range"):
+            machine.run(max_cycles=100)
+
     def test_run_cycles_stops_early(self):
         machine = Machine.from_assembly("NOP\nHALT", ONE_CORE)
         machine.run_cycles(1000)

@@ -1,27 +1,23 @@
-"""Differential proof that memory-fused superblocks are cycle-exact.
+"""Differential proof that the fast engine's LD/ST and barrier paths
+are cycle-exact.
 
-Memory fusion inlines LD/ST whose effective addresses the compiler
-claims are core-uniform (``;@mem=U``) or coreid-affine with a
-bank-local stride (``;@mem=A<k>``) straight into fused closures.  The
-facts are *hints*: every fused execution re-checks the actual
-cross-core addresses, and a failed guard rolls the block back to the
-reference ``step()`` path.  These tests pin both halves of that
-contract:
+Every LD/ST ends a superblock and is served by the bursts' group path,
+the synchronous-conflict replay or the divergent burst's lone winner —
+or, when none of them can prove the cycle, by the reference ``step()``.
+These tests pin that against the reference engine:
 
-- correct facts: memory-dense programs stay bit-identical to the
-  reference engine across broadcast ablations and core counts, with
-  zero guard deopts;
-- wrong facts (deliberate bank conflicts, non-uniform "uniform"
-  reads): the guard must fire, the block must deopt, and the D-Xbar
-  arbitration (conflict counters, rotating priorities) must match the
-  reference cycle-for-cycle;
-- interrupts landing inside a would-be memory block are delivered
+- memory-dense loops (private-bank and shared-word accesses, a store
+  and a load that every core aims at one word, a "shared" read whose
+  address depends on the core id) stay bit-identical across broadcast
+  ablations and core counts, D-Xbar arbitration (conflict counters,
+  rotating priorities) included;
+- interrupts landing between lockstep LD/STs are delivered
   cycle-exactly on both engines;
-- lockstep LD/STs the bursts serve without fusion: the D-Xbar serve
-  kernel against its rule, and every request pattern — conflict-free,
-  a synchronous one-bank conflict the lockstep burst replays, or one
-  it must leave to ``step()`` — against the reference, conflict
-  listener calls included.
+- the D-Xbar serve kernel against its rule, and every lockstep request
+  pattern — conflict-free, a synchronous one-bank conflict the lockstep
+  burst replays, or one it must leave to ``step()`` — against the
+  reference, conflict listener calls included;
+- merged SINC/SDEC exchanges the bursts replay without ``step()``.
 """
 
 import random
@@ -49,7 +45,7 @@ def load_channels(machine, n=32):
 
 
 # a memory-dense loop: five private-bank accesses plus one shared
-# broadcast read per iteration, all carrying correct compiler facts
+# broadcast read per iteration
 MEM_DENSE = """
 .entry main
 main:
@@ -59,20 +55,63 @@ main:
     CLR R7                  ; shared pointer (word 0, core 0's bank)
     LI R6, #{iters}
 loop:
-    LD R2, [R1]             ;@mem=A2048
-    LD R3, [R1 + #1]        ;@mem=A2048
+    LD R2, [R1]
+    LD R3, [R1 + #1]
     ADD R4, R2, R3
-    ST R4, [R1 + #8]        ;@mem=A2048
+    ST R4, [R1 + #8]
     ADDI R4, R4, #3
-    ST R4, [R1 + #9]        ;@mem=A2048
-    LD R5, [R7]             ;@mem=U
+    ST R4, [R1 + #9]
+    LD R5, [R7]
     ADD R4, R4, R5
-    ST R4, [R1 + #10]       ;@mem=A2048
+    ST R4, [R1 + #10]
     ADDI R6, R6, #-1
     CMPI R6, #0
     LBNE loop
     HALT
 """
+
+# every core stores to and loads from one word — a hard bank conflict
+# the D-Xbar must serialize
+SHARED_WORD = """
+.entry main
+main:
+    LI R1, #64              ; same base on every core
+    LI R6, #{iters}
+loop:
+    ADDI R2, R6, #7
+    ST R2, [R1]
+    LD R3, [R1]
+    ADD R4, R3, R2
+    ADDI R6, R6, #-1
+    CMPI R6, #0
+    LBNE loop
+    HALT
+"""
+
+# one load per core from its own bank, at an address that depends on
+# the core id
+PRIVATE_READ = """
+.entry main
+main:
+    MFSR R0, COREID
+    LI R1, #2048
+    MUL R1, R0, R1
+    LI R6, #{iters}
+loop:
+    LD R2, [R1]
+    ADD R3, R3, R2
+    ADDI R6, R6, #-1
+    CMPI R6, #0
+    LBNE loop
+    HALT
+"""
+
+#: memory-dense programs and their loop counts
+MEM_PROGRAMS = {
+    "mem-dense": (MEM_DENSE, 20),
+    "shared-word": (SHARED_WORD, 12),
+    "private-read": (PRIVATE_READ, 12),
+}
 
 MEM_CONFIGS = {
     "default": PlatformConfig(num_cores=8),
@@ -88,31 +127,15 @@ MEM_CONFIGS = {
 @pytest.mark.parametrize("config_name", sorted(MEM_CONFIGS))
 def test_memory_dense_differential(config_name):
     config = MEM_CONFIGS[config_name]
-    program = assemble(MEM_DENSE.format(iters=20))
-    fast, slow = run_pair(program, config, load_channels,
-                          max_cycles=50_000)
-    assert_equivalent(fast, slow)
-    stats = fast.engine_stats
-    # fusion rides the lockstep burst, which needs IM broadcast (or a
-    # single requester); correct facts never misfire in any regime
-    if config.im_broadcast or config.num_cores == 1:
-        assert stats.mem_fused_blocks > 0
-        assert stats.mem_fused_ops > 0
-    assert stats.term_guard == 0
-
-
-def test_uniform_load_needs_broadcast_to_fuse():
-    """Without dm_broadcast a multi-core uniform LD is excluded
-    *statically* — fewer ops fuse, but nothing ever guard-fails."""
-    program = assemble(MEM_DENSE.format(iters=10))
-    on = Machine(program, MEM_CONFIGS["default"])
-    off = Machine(program, MEM_CONFIGS["no-dm-broadcast"])
-    for machine in (on, off):
-        load_channels(machine)
-        machine.run(max_cycles=50_000)
-    assert off.engine_stats.term_guard == 0
-    assert (off.engine_stats.mem_fused_ops
-            < on.engine_stats.mem_fused_ops)
+    for name, (source, iters) in sorted(MEM_PROGRAMS.items()):
+        program = assemble(source.format(iters=iters))
+        fast, slow = run_pair(program, config, load_channels,
+                              max_cycles=50_000)
+        assert_equivalent(fast, slow)
+        if (name == "shared-word" and config.im_broadcast
+                and config.num_cores > 1):
+            # lockstep cores aim at one word: a serialized bank conflict
+            assert fast.trace.dm_conflict_cycles > 0
 
 
 def test_termination_census_accounts_blocks():
@@ -125,79 +148,9 @@ def test_termination_census_accounts_blocks():
                    + stats.term_diverge + stats.term_cap)
     assert total_terms == stats.fused_blocks
     payload = stats.as_dict()
-    for key in ("mem_fused_blocks", "mem_fused_ops", "term_mem",
-                "term_sync", "term_stop", "term_diverge", "term_cap",
-                "term_guard"):
+    for key in ("term_mem", "term_sync", "term_stop", "term_diverge",
+                "term_cap"):
         assert payload[key] == getattr(stats, key)
-
-
-# ---------------------------------------------------------------------------
-# Wrong facts: the runtime guard must catch them, arbitration-exactly
-# ---------------------------------------------------------------------------
-
-# claims a coreid-affine store, but every core actually writes the same
-# address — a hard bank conflict the reference D-Xbar must serialize
-LYING_AFFINE = """
-.entry main
-main:
-    LI R1, #64              ; same base on every core
-    LI R6, #{iters}
-loop:
-    ADDI R2, R6, #7
-    ST R2, [R1]             ;@mem=A2048
-    LD R3, [R1]             ;@mem=A2048
-    ADD R4, R3, R2
-    ADDI R6, R6, #-1
-    CMPI R6, #0
-    LBNE loop
-    HALT
-"""
-
-# claims a uniform read, but the address is coreid-dependent
-LYING_UNIFORM = """
-.entry main
-main:
-    MFSR R0, COREID
-    LI R1, #2048
-    MUL R1, R0, R1
-    LI R6, #{iters}
-loop:
-    LD R2, [R1]             ;@mem=U
-    ADD R3, R3, R2
-    ADDI R6, R6, #-1
-    CMPI R6, #0
-    LBNE loop
-    HALT
-"""
-
-
-@pytest.mark.parametrize("source,needs_conflicts", [
-    (LYING_AFFINE, True),
-    (LYING_UNIFORM, False),
-])
-def test_wrong_facts_deopt_arbitration_exact(source, needs_conflicts):
-    program = assemble(source.format(iters=12))
-    fast, slow = run_pair(program, PlatformConfig(num_cores=8),
-                          load_channels, max_cycles=50_000)
-    assert_equivalent(fast, slow)
-    stats = fast.engine_stats
-    # the lie is caught at run time, never committed
-    assert stats.term_guard > 0
-    assert stats.deopt_count >= stats.term_guard
-    if needs_conflicts:
-        # the replayed reference path serializes the bank conflict
-        assert fast.trace.dm_conflict_cycles > 0
-
-
-def test_wrong_fact_single_core_never_misfires():
-    """With one core every access pattern is trivially conflict-free,
-    so even a lying fact fuses and commits without guards firing."""
-    program = assemble(LYING_AFFINE.format(iters=12))
-    fast, slow = run_pair(program, PlatformConfig(num_cores=1),
-                          load_channels, max_cycles=50_000)
-    assert_equivalent(fast, slow)
-    assert fast.engine_stats.term_guard == 0
-    assert fast.engine_stats.mem_fused_ops > 0
 
 
 # every core loads its own word of bank 0, after lockstep work the
@@ -250,7 +203,7 @@ def test_one_bank_conflict_is_replayed_in_the_burst():
 
 
 # ---------------------------------------------------------------------------
-# IRQs landing inside a would-be memory block
+# IRQs landing between lockstep LD/STs
 # ---------------------------------------------------------------------------
 
 IRQ_MEM_BLOCK = """
@@ -272,12 +225,12 @@ main:
     LI R3, #{expected}
     EI
 loop:
-    LD R2, [R1]             ;@mem=A2048
+    LD R2, [R1]
     ADDI R2, R2, #1
-    ST R2, [R1]             ;@mem=A2048
-    LD R4, [R1 + #4]        ;@mem=A2048
+    ST R2, [R1]
+    LD R4, [R1 + #4]
     ADD R4, R4, R2
-    ST R4, [R1 + #5]        ;@mem=A2048
+    ST R4, [R1 + #5]
     JMP loop
 """
 
@@ -300,32 +253,6 @@ def test_irq_lands_inside_mem_block(cycles):
                           max_cycles=50_000)
     assert_equivalent(fast, slow)
     assert all(core.regs[5] == len(cycles) for core in fast.cores)
-    assert fast.engine_stats.mem_fused_blocks > 0
-
-
-# ---------------------------------------------------------------------------
-# Facts are versioned artifacts: digest + per-geometry block tables
-# ---------------------------------------------------------------------------
-
-def test_mem_facts_version_the_digest():
-    plain = assemble(MEM_DENSE.format(iters=4).replace(";@mem=A2048", "")
-                     .replace(";@mem=U", ""))
-    tagged = assemble(MEM_DENSE.format(iters=4))
-    assert plain.instructions == tagged.instructions
-    assert plain.digest() != tagged.digest()
-    assert not plain.mem_facts and tagged.mem_facts
-
-
-def test_block_tables_keyed_by_geometry():
-    from repro.cpu.blocks import table_for
-
-    program = assemble(MEM_DENSE.format(iters=4))
-    default = table_for(program, MEM_CONFIGS["default"])
-    ablated = table_for(program, MEM_CONFIGS["no-dm-broadcast"])
-    bare = table_for(program)
-    assert table_for(program, MEM_CONFIGS["default"]) is default
-    assert ablated is not default
-    assert bare is not default
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +482,8 @@ _ALU = ["ADD R{a}, R{b}, R{c}", "SUB R{a}, R{b}, R{c}",
 
 
 def random_mem_dense_program(seed, iters=8):
-    """Seeded loop mixing correctly-tagged private/shared accesses with
-    ALU filler — every access pattern the static gate can admit."""
+    """Seeded loop mixing private-bank and shared-word accesses with ALU
+    filler."""
     rng = random.Random(seed)
     lines = [".entry main", "main:",
              " MFSR R0, COREID",
@@ -570,11 +497,11 @@ def random_mem_dense_program(seed, iters=8):
         reg = rng.randint(2, 4)
         off = rng.randint(0, 31)
         if roll < 0.3:
-            lines.append(f" LD R{reg}, [R1 + #{off}] ;@mem=A2048")
+            lines.append(f" LD R{reg}, [R1 + #{off}]")
         elif roll < 0.5:
-            lines.append(f" ST R{reg}, [R1 + #{off}] ;@mem=A2048")
+            lines.append(f" ST R{reg}, [R1 + #{off}]")
         elif roll < 0.6:
-            lines.append(f" LD R{reg}, [R7 + #{off}] ;@mem=U")
+            lines.append(f" LD R{reg}, [R7 + #{off}]")
         else:
             lines.append(" " + rng.choice(_ALU).format(
                 a=rng.randint(2, 4), b=rng.randint(2, 4),
@@ -597,11 +524,10 @@ def test_random_memory_dense_differential(seed, broadcast):
     fast, slow = run_pair(program, config, load_channels,
                           max_cycles=50_000)
     assert_equivalent(fast, slow)
-    assert fast.engine_stats.term_guard == 0
 
 
 # ---------------------------------------------------------------------------
-# Lockstep LD/ST without fusion: the serve kernel, the group path and the
+# Lockstep LD/ST: the serve kernel, the group path and the
 # synchronous-conflict replay
 # ---------------------------------------------------------------------------
 
