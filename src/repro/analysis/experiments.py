@@ -22,14 +22,10 @@ from ..exec import (
     TieredCache,
 )
 from ..kernels import (
-    BENCHMARKS,
     BenchmarkRun,
-    DESIGNS,
     Design,
     WITH_SYNC,
     WITHOUT_SYNC,
-    golden_outputs,
-    run_benchmark,
 )
 from ..power import (
     DesignPowerModel,

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 
 from ..cpu import vec
-from ..kernels.layout import BANK_WORDS, OUT_OFFSET
+from ..kernels.layout import BANK_WORDS
 from ..kernels.suite import (
     DESIGNS,
     build_program,

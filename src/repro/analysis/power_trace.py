@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..power import Component, EnergyModel, F_NOMINAL_MHZ
+from ..power import EnergyModel, F_NOMINAL_MHZ
 
 
 @dataclass(frozen=True)

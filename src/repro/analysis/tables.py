@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..kernels import BenchmarkRun
 from ..power import (
     COMPONENT_ORDER,
     Component,

@@ -256,7 +256,7 @@ def _synclint_target(target: str, args):
 
     :returns: a :class:`~repro.sync.verifier.LintReport`.
     """
-    from .sync.verifier import lint_assembly, lint_compile_result, lint_minic
+    from .sync.verifier import lint_assembly, lint_minic
 
     sync_enabled = not args.baseline
     if target in BENCHMARKS:

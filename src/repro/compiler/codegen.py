@@ -25,7 +25,7 @@ every path (otherwise the barrier would deadlock).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ast_nodes import (
     AddrOfExpr,
@@ -43,7 +43,6 @@ from .ast_nodes import (
     IfStmt,
     IndexExpr,
     NumberExpr,
-    ProgramAst,
     ReturnStmt,
     Symbol,
     UnaryExpr,

@@ -15,7 +15,7 @@ Frame layout (full-descending stack, word addressed)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ast_nodes import (
     AddrOfExpr,

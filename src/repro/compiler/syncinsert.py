@@ -25,7 +25,6 @@ from .ast_nodes import (
     Block,
     DeclStmt,
     ForStmt,
-    FuncDecl,
     IfStmt,
     ProgramAst,
     WhileStmt,

@@ -37,8 +37,8 @@ affected runs out of the batch, bit-exactly, back to their reference
   replayed vectorized — the synchronizer's merged two-cycle checkpoint
   RMW (:func:`~repro.platform.synchronizer.checkpoint_rmw`) applied to
   the whole ``(runs,)`` plane of checkpoint words — and only the runs
-  the replay guard rejects (split addresses, locked or would-raise
-  words, cores that would sleep) peel;
+  the replay guard rejects (split addresses, out-of-range words,
+  would-raise counters, cores that would sleep) peel;
 - a data-dependent branch that diverges *within* a run peels that run
   (its cores now need per-core PCs); one that diverges *across* runs
   splits the group — each subset keeps executing vectorized at its own
@@ -55,11 +55,6 @@ same batched accounting the scalar lockstep burst uses).  Finishing a
 peeled machine with ``machine.run()`` therefore produces results
 bit-identical to never having batched it — the property
 ``tests/cpu/test_vec.py`` proves differentially.
-
-NumPy is a declared runtime dependency, but the module degrades
-gracefully when it is absent: :data:`AVAILABLE` is False and
-:func:`run_batch` refuses every machine, so callers simply fall back to
-scalar dispatch.
 """
 
 from __future__ import annotations
@@ -68,10 +63,7 @@ from ast import literal_eval
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-try:
-    import numpy as np
-except ImportError:                      # pragma: no cover - numpy is a
-    np = None                            # declared dependency; belt+braces
+import numpy as np
 
 from ..isa.spec import Opcode
 from ..platform.synchronizer import checkpoint_rmw
@@ -86,9 +78,6 @@ from .semantics import (
     Writer,
 )
 from .state import CoreMode
-
-#: True when the vectorized engine can run at all.
-AVAILABLE = np is not None
 
 MASK = 0xFFFF
 
@@ -159,7 +148,7 @@ def compile_block(decoded: list, start: int) -> VecBlock | None:
     vectorized (memory/sync/stop boundary).
     """
     im_len = len(decoded)
-    if start >= im_len or np is None:
+    if start >= im_len:
         return None
     w = Writer(VEC)
     length = 0
@@ -335,8 +324,6 @@ def batch_entry_guard(machine, limit: int) -> str | None:
     way out of mid-flight (timers and scheduled IRQs fire at absolute
     cycles, which the group-scheduled batch cannot honour).
     """
-    if np is None:
-        return "numpy"
     if not machine.fast_engine or machine._probes:
         return "engine"
     if (machine._outstanding_count or machine._pending_irq_count
@@ -349,9 +336,6 @@ def batch_entry_guard(machine, limit: int) -> str | None:
         return "irq"
     if not machine.config.im_broadcast:
         return "no-broadcast"
-    dxbar = machine.dxbar
-    if dxbar.locked_addresses or dxbar._groups:
-        return "dxbar"
     cores = machine.cores
     pc0 = cores[0].pc
     for core in cores:

@@ -381,10 +381,10 @@ def batch_key(request: RunRequest):
     *same built image* on the *same platform* with the same cycle bound
     — their inputs (channels, ``n_samples``, seed) are free to differ,
     that is the batch axis.  Returns ``None`` when the request cannot be
-    batched at all (reference engine requested, or NumPy unavailable),
-    in which case the scheduler dispatches it individually.
+    batched at all (reference engine requested), in which case the
+    scheduler dispatches it individually.
     """
-    if not request.fast_engine or not vec.AVAILABLE:
+    if not request.fast_engine:
         return None
     try:
         program, _ = resolve_program(request)

@@ -23,7 +23,6 @@ the work was scheduled:
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext

@@ -41,7 +41,6 @@ from .spec import (
     SpecialReg,
     IMM8_MIN,
     IMM8_MAX,
-    NUM_GPRS,
     REG_ALIASES,
     to_unsigned16,
 )

@@ -14,9 +14,7 @@ from .spec import (
     Opcode,
     ShiftOp,
     SysOp,
-    R2_OPCODES,
     R3_OPCODES,
-    I5_OPCODES,
     I8_OPCODES,
     J_OPCODES,
     SYNC_OPCODES,

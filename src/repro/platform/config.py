@@ -9,7 +9,7 @@ the hardware synchronizer.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class SyncPolicy(enum.Flag):

@@ -68,13 +68,21 @@ or a scheduled interrupt can change machine state, the engine jumps
 bulk-credits the sleep/halt counters, instead of ticking the idle
 platform one cycle at a time.
 
+**One gate** — the run loop calls :meth:`FastEngine._advance` before
+every reference cycle, and every regime above is entered through it.
+It hands the cycle to ``step()`` while anything is in flight beyond the
+cores (an outstanding memory or synchronizer request, a pending
+interrupt) or no cycle is left before the horizon: the run budget, or
+the cycle before the next timer fire or scheduled interrupt.  Otherwise
+it applies latched wakeups, scans the cores once for the running set
+and the idle census, and hands both and the horizon to the regime the
+running set calls for.
+
 All paths are cycle-exact: every counter in the
 :class:`~repro.platform.trace.ActivityTrace`, every register and every
 memory word ends up bit-for-bit identical to pure ``step()`` stepping
-(guarded by ``tests/platform/test_engine_differential.py``).  Whenever a
-precondition fails — probes attached, outstanding memory or synchronizer
-work, pending interrupts, mode changes — the engine degrades to the
-reference ``step()`` for that cycle; a burst whose guard fails hands
+(guarded by ``tests/platform/test_engine_differential.py``).  Probes
+force pure ``step()`` stepping, and a burst whose guard fails hands
 that cycle straight back.
 """
 
@@ -91,15 +99,6 @@ from .dxbar import DmRequest, serve_bank
 from .synchronizer import checkpoint_rmw
 
 INFINITY = float("inf")
-
-#: consecutive failed fast-path probes back off exponentially: the first
-#: failure is free (a probe is a handful of attribute checks — far
-#: cheaper than one reference cycle — and the cycle after a barrier RMW
-#: or IRQ delivery is usually burstable again), then 1, 2, 4, ...
-#: reference cycles are stepped between probes up to this cap.  The cap
-#: only matters in step()-owned stretches the bursts cannot enter at
-#: all (held memory conflicts, back-to-back IRQ delivery).
-_MAX_BACKOFF = 16
 
 
 def _credit_winners(retired: list, running: list, first: int,
@@ -124,7 +123,9 @@ class SimulationLimitError(RuntimeError):
 class EngineStats:
     """Fast-path engagement counters (one update per burst/skip, so the
     bookkeeping adds no per-cycle cost).  The telemetry layer reads these
-    to prove the fast engine stayed engaged during a traced run."""
+    to prove the fast engine stayed engaged during a traced run.  Every
+    cycle they do not cover ran in ``step()`` (``cycles - fast_cycles``),
+    and the engine's gate was tried before each such cycle."""
 
     #: lockstep burst engagements, including the ones that start at a
     #: checkpoint instruction (the burst replays every lockstep
@@ -146,7 +147,8 @@ class EngineStats:
     #: conflict replay declines, a divergent checkpoint RMW the replay
     #: declines, an off-image or multi-bank PC.  The abandoned cycle is
     #: replayed by the reference ``step()``, which the burst hands it to
-    #: at once.  Burst endings that need no
+    #: at once; a guard that fails again after that cycle counts again.
+    #: Burst endings that need no
     #: fallback (horizon, convergence, divergence, a served group
     #: leaving its IM bank, a checkpoint RMW that sleeps or wakes
     #: cores, a lockstep one that ``step()`` must run) are not deopts.
@@ -243,31 +245,18 @@ class FastEngine:
     def run(self, limit: int, *, raise_on_limit: bool = True) -> None:
         """Advance the machine until every core halts or ``limit`` cycles.
 
-        Uses the fast paths whenever their preconditions hold and the
-        reference ``step()`` otherwise.  Probes force pure ``step()``
-        stepping (they observe individual cycles).
+        Passes the gate (:meth:`_advance`) before every reference
+        ``step()``, so the fast paths run whenever their preconditions
+        hold.  Probes force pure ``step()`` stepping (they observe
+        individual cycles).
         """
         machine = self._machine
         trace = machine.trace
         step = machine.step
         fast = machine.fast_engine and not machine._probes
-        backoff = 0           # slow cycles left before the next probe
-        penalty = 0           # backoff charged by the next failed probe
         while True:
             if fast:
-                if backoff:
-                    backoff -= 1
-                else:
-                    before = trace.cycles
-                    self._advance(limit)
-                    if trace.cycles != before:
-                        penalty = 0
-                    else:
-                        backoff = penalty
-                        if penalty == 0:
-                            penalty = 1
-                        elif penalty < _MAX_BACKOFF:
-                            penalty += penalty
+                self._advance(limit)
             if trace.cycles >= limit:
                 if not raise_on_limit:
                     return
@@ -288,30 +277,58 @@ class FastEngine:
     # ------------------------------------------------------------------
 
     def _advance(self, limit: int) -> None:
-        """Consume as many cycles as the fast paths allow (maybe none)."""
+        """Consume as many cycles as the fast paths allow (maybe none).
+
+        The one gate every fast path passes through.  It returns unless
+        nothing is in flight beyond the cores: no outstanding memory or
+        synchronizer request, no pending interrupt.  So no checkpoint
+        word is locked (only an RMW in flight locks one) and no D-Xbar
+        conflict group drains (only outstanding requests form one), and
+        no regime creates either.  It computes the horizon, the last
+        cycle a regime may simulate: inside the run budget and before
+        the next timer fire or scheduled interrupt, which ``step()``
+        handles.  With no cycle left it returns, which also leaves
+        latched wakeups to ``step()`` when an event lands with them;
+        otherwise it applies them, and one scan of the cores gives the
+        running set and the idle census (halted, sleeping,
+        barrier-sleeping).  Modes change only at a replayed RMW's
+        write, which ends its burst (a checking-out core is active in
+        it, a woken one asleep), so the census holds for every cycle
+        the regime runs.  A regime that stops cleanly comes back here;
+        one whose guard fails hands its cycle to ``step()``.
+        """
         machine = self._machine
         cores = machine.cores
+        barrier_sleeper = machine._barrier_sleeper
         while True:
-            # Preconditions shared by both fast paths: nothing in flight
-            # anywhere but the cores themselves.
             if machine._outstanding_count or machine._pending_irq_count:
                 return
             sync = machine.synchronizer
             if sync is not None and sync.busy:
                 return
-            cycles = machine.trace.cycles
-            if cycles >= limit:
+            next_event = self._next_event_cycle()
+            horizon = min(limit, next_event - 1)
+            if machine.trace.cycles >= horizon:
                 return
             if machine._wake_next:
-                # A release's wakeups land at the start of the next
-                # cycle, as step()'s phase 1 applies them — unless a
-                # timer or IRQ lands on that cycle too: step() owns it.
-                if self._next_event_cycle() <= cycles + 1:
-                    return
                 machine._apply_wakes()
-            running = [c for c in cores if c.mode is CoreMode.RUNNING]
+            running = []
+            halted = sleeping = waiting = 0
+            for cid, core in enumerate(cores):
+                mode = core.mode
+                if mode is CoreMode.RUNNING:
+                    running.append(core)
+                elif mode is CoreMode.HALTED:
+                    halted += 1
+                else:
+                    sleeping += 1
+                    waiting += barrier_sleeper[cid]
+            idle = (halted, sleeping, waiting)
             if not running:
-                self._sleep_fast_forward(limit)
+                # With no timer or interrupt ahead, step() tells the end
+                # of the program from a deadlock.
+                if sleeping and next_event != INFINITY:
+                    self._sleep_fast_forward(horizon, idle)
                 return
             pc = running[0].pc
             uniform = True
@@ -324,12 +341,12 @@ class FastEngine:
                 # One PC through the broadcast I-Xbar — or a single
                 # requester, which wins its bank unconditionally even
                 # without broadcast.
-                if not self._lockstep_burst(running, pc, limit):
+                if not self._lockstep_burst(running, pc, horizon, idle):
                     return
             else:
                 # Divergent PCs (or broadcast off): the reference
                 # serializes through rotating per-bank arbitration.
-                if not self._divergent_burst(running, limit):
+                if not self._divergent_burst(running, horizon, idle):
                     return
 
     def _next_event_cycle(self) -> float:
@@ -344,21 +361,8 @@ class FastEngine:
                     nxt = cycle
         return nxt
 
-    def _idle_census(self) -> tuple[int, int, int]:
-        """(halted, sleeping, barrier-sleeping) core counts."""
-        machine = self._machine
-        halted = sleeping = waiting = 0
-        for cid, core in enumerate(machine.cores):
-            mode = core.mode
-            if mode is CoreMode.HALTED:
-                halted += 1
-            elif mode is CoreMode.SLEEPING:
-                sleeping += 1
-                if machine._barrier_sleeper[cid]:
-                    waiting += 1
-        return halted, sleeping, waiting
-
-    def _lockstep_burst(self, running: list, pc: int, limit: int) -> bool:
+    def _lockstep_burst(self, running: list, pc: int, horizon: int,
+                        idle: tuple) -> bool:
         """Execute a run of plain instructions shared by all running cores.
 
         Mirrors, cycle for cycle, what ``step()`` does when every running
@@ -373,8 +377,8 @@ class FastEngine:
         synchronous conflicts; a lockstep SINC/SDEC goes through
         :meth:`_checkpoint_rmw` (ending the burst when it sleeps or
         wakes cores).  Everything else — mode changes, PC divergence,
-        other bank conflicts — ends the burst, as does the cycle before
-        the next timer/IRQ event.
+        other bank conflicts — ends the burst, as does the gate's
+        horizon (``idle`` is its census of the other cores).
 
         Whole straight-line runs between those instructions are advanced
         by **fused superblocks** (:mod:`repro.cpu.blocks`): one fused
@@ -390,18 +394,8 @@ class FastEngine:
         trace = machine.trace
         decoded = machine._decoded
         im_len = len(decoded)
-        # The last cycle this burst may simulate: stay inside the run
-        # budget and strictly before the next external event, which must
-        # be handled (and accounted) by the reference step().
-        horizon = min(limit, self._next_event_cycle() - 1)
         cycles = trace.cycles
-        if cycles >= horizon:
-            return False
-        # Only the burst's last RMW may change core modes, and not before
-        # its write cycle has ended (a checking-out core is active on it,
-        # a woken one sleeps through it), so one census taken first
-        # covers the whole burst.
-        halted, sleeping, waiting = self._idle_census()
+        halted, sleeping, waiting = idle
 
         table = machine._blocks
         if table is None:
@@ -409,12 +403,6 @@ class FastEngine:
         blocks = table.blocks
         block_at = table.at
 
-        # The synchronizer is idle (precondition), so no checkpoint word
-        # is locked and no conflict group is draining; group LD/ST
-        # cycles stay valid for the whole burst because they can create
-        # neither.
-        dxbar = machine.dxbar
-        mem_ok = not (dxbar.locked_addresses or dxbar._groups)
         # synchronous D-Xbar conflicts replayed in place: the cycles they
         # add beyond one per LD/ST, and their held cores' stall cycles
         held_cycles = stalled = 0
@@ -501,7 +489,7 @@ class FastEngine:
                                 break
                         if diverged:
                             break
-            elif kind == KIND_MEM and mem_ok:
+            elif kind == KIND_MEM:
                 if not self._mem_group(running, rec[1]):
                     # a synchronous one-bank conflict is replayed in
                     # place; any other pattern goes to step()
@@ -596,7 +584,7 @@ class FastEngine:
         statistics, listeners) for both cycles, advances the group's
         PCs and lands its mode changes: a check-out that leaves the
         barrier open puts the group to sleep, a release latches its
-        sleepers' wakeups.  Both bursts take their idle census first.
+        sleepers' wakeups.  The gate takes the idle census first.
 
         In cycle T+1 the group sits out fetch arbitration.  ``fetch`` is
         the group the other running cores' arbitration serves then
@@ -611,8 +599,8 @@ class FastEngine:
             or sleepers will wake), False when it does not — or None,
             with nothing mutated, when ``step()`` must run the window:
             no synchronizer, an event inside it, a split checkpoint
-            address (per-core ``Rsync``), a locked or out-of-range
-            word, a protocol violation about to raise, or a write-cycle
+            address (per-core ``Rsync``), an out-of-range word, a
+            protocol violation about to raise, or a write-cycle
             fetch that is a STOP, a SINC/SDEC or an LD/ST that might
             conflict or hits the checkpoint word's bank.
         """
@@ -625,8 +613,7 @@ class FastEngine:
             if checkpoint_address(core, ins) != address:
                 return None
         words = machine.dm.words
-        if (address >= len(words)
-                or address in machine.dxbar.locked_addresses):
+        if address >= len(words):
             return None
         coreids = tuple([core.coreid for core in group])
         checkins, checkouts = (((), coreids) if ins.op is Opcode.SDEC
@@ -675,7 +662,8 @@ class FastEngine:
             return True
         return False
 
-    def _divergent_burst(self, running: list, limit: int) -> bool:
+    def _divergent_burst(self, running: list, horizon: int,
+                         idle: tuple) -> bool:
         """Serialize divergent running cores through I-Xbar arbitration.
 
         Replays, cycle for cycle, what the reference does when running
@@ -709,9 +697,10 @@ class FastEngine:
         the winner would stop or fault, when a served memory pattern
         may lose D-Xbar arbitration, when :meth:`_checkpoint_rmw`
         declines the RMW, and for the (never exercised by the bundled
-        kernels) multi-bank divergence case.  Ends cleanly at the
+        kernels) multi-bank divergence case.  Ends cleanly at the gate's
         horizon, when a served group leaves the bank, or when broadcast
-        cores re-converge, handing back to the lockstep burst.
+        cores re-converge, handing back to the lockstep burst.  ``idle``
+        is the gate's census of the other cores.
 
         :returns: True if at least one cycle was consumed and no guard
             failed.
@@ -721,10 +710,7 @@ class FastEngine:
         decoded = machine._decoded
         config = machine.config
         clock = trace.cycles
-        horizon = min(limit, self._next_event_cycle() - 1)
         budget = horizon - clock
-        if budget <= 0:
-            return False
         bank_words = config.im_bank_words
         bank = running[0].pc // bank_words
         lo = bank * bank_words
@@ -735,14 +721,10 @@ class FastEngine:
             if not lo <= core.pc < hi:
                 self.stats.deopt_count += 1
                 return False
-        # Mode changes land only at a replayed RMW's write, and the burst
-        # ends there, so one census taken first covers every cycle.
-        halted, sleeping, waiting = self._idle_census()
-        dxbar = machine.dxbar
-        mem_ok = not (dxbar.locked_addresses or dxbar._groups)
+        halted, sleeping, waiting = idle
         words = machine.dm.words
         dm_len = len(words)
-        dm_priority = dxbar._priority
+        dm_priority = machine.dxbar._priority
         interleaved = config.dm_interleaved
         nb = config.dm_banks
         bw = config.dm_bank_words
@@ -790,7 +772,7 @@ class FastEngine:
                 else:
                     for core in served:
                         run(core)
-            elif kind == KIND_MEM and mem_ok:
+            elif kind == KIND_MEM:
                 if ns == 1:
                     is_write, rs, imm, rd = rec[1]
                     regs = winner.regs
@@ -1089,43 +1071,20 @@ class FastEngine:
         trace.dm_conflict_cycles += k - 1
         return k, stalled
 
-    def _sleep_fast_forward(self, limit: int) -> bool:
-        """Jump over an all-asleep stretch to the next timer/IRQ event.
+    def _sleep_fast_forward(self, horizon: int, idle: tuple) -> None:
+        """Jump over an all-asleep stretch to the gate's horizon.
 
-        Only taken when the platform is fully event-driven: no core runs,
-        nothing is in flight, and no pending interrupt is deliverable —
-        so *nothing* can change until the next timer fire or scheduled
-        interrupt.  Credits every skipped cycle's sleep/halt (and barrier
-        wait) counters in bulk.
-
-        :returns: True if at least one cycle was skipped.
+        Taken when no core runs and a timer or scheduled interrupt lies
+        ahead: past the gate nothing is in flight and no interrupt is
+        pending, so *nothing* can change before that event.  Credits
+        every skipped cycle's sleep/halt (and barrier wait) counters,
+        from the gate's census ``idle``, in bulk.
         """
         machine = self._machine
-        if machine._pending_irq_count:
-            # A deliverable pending IRQ changes state on the very next
-            # cycle; leave it to the reference step().  Undeliverable
-            # ones (masked, halted, checked out at a barrier) stay
-            # pending for the whole sleep period.
-            for cid, pending in enumerate(machine._pending_irq):
-                if not pending:
-                    continue
-                core = machine.cores[cid]
-                if (core.interrupts_enabled
-                        and core.mode is not CoreMode.HALTED
-                        and not machine._barrier_sleeper[cid]):
-                    return False
-        next_event = self._next_event_cycle()
-        if next_event == INFINITY:
-            return False              # deadlock or halt: step() decides
+        halted, sleeping, waiting = idle
         trace = machine.trace
-        target = min(limit, next_event - 1)
-        skipped = target - trace.cycles
-        if skipped <= 0:
-            return False
-        halted, sleeping, waiting = self._idle_census()
-        if not sleeping:
-            return False              # fully halted: run loop terminates
-        trace.cycles = target
+        skipped = horizon - trace.cycles
+        trace.cycles = horizon
         trace.core_sleep_cycles += skipped * sleeping
         if halted:
             trace.core_halted_cycles += skipped * halted
@@ -1134,4 +1093,3 @@ class FastEngine:
         self.stats.sleep_skips += 1
         self.stats.sleep_cycles += skipped
         machine._quiet = True
-        return True

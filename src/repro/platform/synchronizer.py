@@ -20,7 +20,7 @@ The synchronizer coordinates the ``SINC`` (check-in) and ``SDEC``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import PlatformConfig
 from .trace import ActivityTrace

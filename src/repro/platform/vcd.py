@@ -22,8 +22,6 @@ Time is in nanoseconds at the nominal 12 ns clock period.
 
 from __future__ import annotations
 
-import io
-
 from ..cpu.state import CoreMode
 
 #: VCD identifier characters (printable ASCII, excluding whitespace).

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import least_squares, lsq_linear
 
 from .components import Component
-from .energy import EnergyCoefficients, EnergyModel, F_NOMINAL_MHZ
+from .energy import EnergyCoefficients, EnergyModel
 from .voltage import VoltageModel
 
 # ---------------------------------------------------------------------------

@@ -323,14 +323,6 @@ class TestEntryGuards:
             machine.run(max_cycles=64)
         assert vec.batch_entry_guard(machine, 64) == "limit"
 
-    def test_numpy_unavailable_degrades_gracefully(self, monkeypatch):
-        machine = self._kernel_machine()
-        monkeypatch.setattr(vec, "np", None)
-        assert vec.batch_entry_guard(machine, MAX_CYCLES) == "numpy"
-        stats = vec.run_batch([machine])
-        assert stats.rejected == 1
-        assert machine.trace.cycles == 0
-
     def test_empty_batch(self):
         stats = vec.run_batch([])
         assert stats.requested == 0
