@@ -16,7 +16,7 @@ Usage::
     python -m repro stats sweep-out     # summarize a sweep run manifest
     python -m repro serve --port 8642   # simulation-as-a-service HTTP API
     python -m repro client --quick      # submit a sweep to a running server
-    python -m repro obs sweep-out       # profile/trace/metrics summary
+    python -m repro obs --server URL    # scrape a running server's metrics
 """
 
 from __future__ import annotations
@@ -375,6 +375,7 @@ def cmd_sweep(args) -> int:
     import json as _json
 
     from .exec import DiskCache, SweepExecutor
+    from .exec.progress import SOURCE_LABELS
 
     spec, benchmarks, designs, samples = _sweep_spec(args, "cli-sweep")
     cache = None if args.no_cache else DiskCache(args.cache_dir)
@@ -400,7 +401,7 @@ def cmd_sweep(args) -> int:
     trace = TraceContext.new()
     with SweepExecutor(jobs=args.jobs, cache=cache, timeout=args.timeout,
                        refresh=args.refresh, batch=args.batch,
-                       log=print, profile=args.profile) as executor:
+                       log=print) as executor:
         outcomes = executor.run(spec, manifest=manifest,
                                 trace_id=trace.trace_id)
     metrics = executor.last_metrics
@@ -420,7 +421,7 @@ def cmd_sweep(args) -> int:
             print(f"  {request.benchmark:9s}  {request.design.name:13s}  "
                   f"{request.n_samples:4d}  {run.cycles:9d}  "
                   f"{run.ops_per_cycle:7.2f}  {golden:>6s}  "
-                  f"{'cache' if outcome.cached else 'run'}")
+                  f"{SOURCE_LABELS[outcome.source]}")
         else:
             print(f"  {request.benchmark:9s}  {request.design.name:13s}  "
                   f"{request.n_samples:4d}  {'-':>9s}  {'-':>7s}  "
@@ -429,9 +430,6 @@ def cmd_sweep(args) -> int:
     print(metrics.report())
     if cache is not None:
         print(f"cache: {cache.stats.summary()}")
-    if args.profile and executor.last_profile is not None:
-        print()
-        print(executor.last_profile.report())
 
     if args.json:
         payload = {
@@ -485,8 +483,7 @@ def cmd_serve(args) -> int:
     service = SweepService(cache=cache, state_dir=args.state_dir,
                            jobs=args.jobs, batch=args.batch,
                            timeout=args.timeout,
-                           concurrency=args.concurrency,
-                           profile=args.profile)
+                           concurrency=args.concurrency)
 
     def ready(address):
         host, port = address
@@ -507,6 +504,7 @@ def cmd_serve(args) -> int:
 def cmd_client(args) -> int:
     import json as _json
 
+    from .exec.progress import SOURCE_LABELS
     from .serve import ServeClient, ServiceError
 
     client = ServeClient(args.server, timeout=args.timeout)
@@ -536,11 +534,8 @@ def cmd_client(args) -> int:
         if event.get("event") == "end":
             break
         seen += 1
-        origin = ("FAIL" if event.get("error") else
-                  "hit " if event.get("cached") else
-                  "join" if event.get("coalesced") else
-                  "dup " if event.get("deduped") else "run ")
-        line = f"  [{seen}/{len(spec)}] {origin} {event.get('label', '?')}"
+        origin = SOURCE_LABELS.get(event.get("source"), "?")
+        line = f"  [{seen}/{len(spec)}] {origin:4s} {event.get('label', '?')}"
         if event.get("error"):
             line += f"  ({event['error']})"
         print(line, flush=True)
@@ -596,7 +591,8 @@ _OBS_FAMILIES = (
 )
 
 
-def _obs_scrape(args) -> int:
+def cmd_obs(args) -> int:
+    """Scrape a running ``repro serve``'s Prometheus metrics."""
     from .serve import ServeClient, ServiceError
 
     client = ServeClient(args.server, timeout=args.timeout)
@@ -617,51 +613,6 @@ def _obs_scrape(args) -> int:
         name = line.split("{", 1)[0].split(" ", 1)[0]
         if name in _OBS_FAMILIES:
             print(f"  {line}")
-    return 0
-
-
-def cmd_obs(args) -> int:
-    """Observability summary: live-server scrape or manifest breakdown."""
-    import json as _json
-    from pathlib import Path
-
-    from .obs.profile import profile_from_dict
-
-    if args.server:
-        return _obs_scrape(args)
-
-    path = Path(args.manifest)
-    if path.is_dir():
-        path = path / "manifest.json"
-    try:
-        doc = _json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        print(f"obs: no manifest at {path} "
-              "(run `repro sweep --profile` first, or pass --server URL)",
-              file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"obs: {path} is not valid JSON: {exc}", file=sys.stderr)
-        return 2
-
-    print(f"obs: {path} — sweep {doc.get('name', '?')!r} "
-          f"(schema {doc.get('schema', '?')})")
-    print(f"  runs: {doc.get('runs', 0)} total, {doc.get('ok', 0)} ok, "
-          f"{doc.get('failed', 0)} failed, {doc.get('cached', 0)} cached")
-    tiers = doc.get("cache_tiers") or {}
-    if tiers:
-        cells = [f"{tier} {count}" for tier, count in sorted(tiers.items())]
-        print("  cache tiers: " + ", ".join(cells))
-    if doc.get("trace_id"):
-        print(f"  trace_id: {doc['trace_id']} "
-              "(GET /v1/sweeps/{id}/trace on the serving instance)")
-    profile = profile_from_dict(doc.get("profile"))
-    if profile is not None:
-        for line in profile.report().splitlines():
-            print(f"  {line}")
-    else:
-        print("  no profile section (re-run with --profile to collect "
-              "per-phase timings)")
     return 0
 
 
@@ -841,10 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(manifest.json + runs.jsonl; default: sweep-out)")
     p.add_argument("--no-manifest", action="store_true",
                    help="skip writing the run manifest")
-    p.add_argument("--profile", action="store_true",
-                   help="collect per-phase and per-run timings "
-                        "(printed and folded into the manifest; "
-                        "see `repro obs`)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
@@ -887,9 +834,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log-level", default="info",
                    choices=("debug", "info", "warning", "error"),
                    help="log verbosity (default: info)")
-    p.add_argument("--profile", action="store_true",
-                   help="profile every executed sweep (per-phase "
-                        "timings folded into job manifests)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
@@ -934,8 +878,10 @@ def build_parser() -> argparse.ArgumentParser:
         "stats",
         help="summarize a sweep run manifest",
         description="Render the manifest.json / runs.jsonl a "
-                    "`repro sweep` left behind: per-run outcomes, cache "
-                    "hits, telemetry totals (see docs/telemetry.md).")
+                    "`repro sweep` or a served job left behind: per-run "
+                    "outcomes, cache hits, telemetry totals, per-phase "
+                    "wall/CPU seconds and the slowest executed runs "
+                    "(see docs/telemetry.md).")
     p.add_argument("manifest", nargs="?", default="sweep-out",
                    help="sweep directory, manifest.json or runs.jsonl "
                         "(default: sweep-out)")
@@ -943,17 +889,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "obs",
-        help="observability summary: manifest profile or live metrics",
-        description="Two modes: summarize a sweep manifest's profile / "
-                    "trace / cache-tier sections, or (with --server) "
-                    "scrape a running `repro serve`'s Prometheus "
-                    "metrics (see docs/observability.md).")
-    p.add_argument("manifest", nargs="?", default="sweep-out",
-                   help="sweep directory or manifest.json "
-                        "(default: sweep-out)")
-    p.add_argument("--server", default=None, metavar="URL",
-                   help="scrape a running service instead of reading "
-                        "a manifest")
+        help="scrape a running `repro serve`'s metrics",
+        description="Scrape a running `repro serve`'s Prometheus "
+                    "metrics (see docs/observability.md); `repro stats` "
+                    "summarizes a sweep manifest.")
+    p.add_argument("--server", required=True, metavar="URL",
+                   help="base URL of the service to scrape")
     p.add_argument("--raw", action="store_true",
                    help="with --server: print the full Prometheus "
                         "exposition instead of the curated summary")

@@ -1,10 +1,11 @@
 """Progress and throughput reporting for sweep executions.
 
-The scheduler drives one :class:`SweepMetrics` per sweep: every finished
-run is noted with its wall time, origin (cache hit, executed, failed)
-and worker pid, and :meth:`SweepMetrics.report` renders the numbers an
-operator wants while a fan-out is running — runs/s, cache hit rate and
-per-worker utilization (busy seconds over sweep wall-clock).
+The scheduler drives one :class:`SweepMetrics` per sweep: every
+finished run's :class:`~repro.exec.scheduler.RunOutcome` is noted, each
+executor phase is timed into it, and :meth:`SweepMetrics.report`
+renders the numbers an operator wants while a fan-out is running —
+runs/s, cache hit rate and per-worker utilization (busy seconds over
+sweep wall-clock).
 """
 
 from __future__ import annotations
@@ -12,35 +13,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-
-@dataclass
-class RunRecord:
-    """One completed run, as the metrics see it.
-
-    :ivar batch: size of the array-of-machines batch the run was
-        dispatched in (0 = individual dispatch).
-    :ivar peeled: the run peeled out of its batch at a guard boundary
-        before the natural end of program.
-    :ivar deduped: the run shared a digest with an earlier request in
-        the *same* sweep and rode its simulation (in-sweep dedup).
-    :ivar coalesced: the run shared a digest with a run already in
-        flight for *another* submission and waited on it instead of
-        executing (service-level coalescing, ``repro serve``).
-    :ivar cache_tier: which cache tier served a hit (``memory`` /
-        ``disk`` / ``peer``); ``None`` for executed runs.
-    """
-
-    index: int
-    label: str
-    cached: bool
-    failed: bool
-    elapsed: float
-    worker: int | None
-    batch: int = 0
-    peeled: bool = False
-    deduped: bool = False
-    coalesced: bool = False
-    cache_tier: str | None = None
+#: display label of each run source (:attr:`RunOutcome.source
+#: <repro.exec.scheduler.RunOutcome.source>`, the ``source`` of
+#: ``runs.jsonl`` and job-resource rows)
+SOURCE_LABELS = {"error": "FAIL", "cache": "hit", "coalesced": "join",
+                 "deduped": "dup", "executed": "run"}
 
 
 @dataclass
@@ -52,22 +29,30 @@ class SweepMetrics:
     worker utilization, :meth:`report`) measures elapsed time live until
     :meth:`finish` freezes it, so progress displays and the manifest
     writer can snapshot the metrics while the sweep is still running.
+
+    :ivar records: every noted
+        :class:`~repro.exec.scheduler.RunOutcome`, in landing order.
+    :ivar phases: executor phase name -> ``{"wall_seconds",
+        "cpu_seconds"}``; a phase timed more than once adds up.
     """
 
     total: int = 0
-    records: list[RunRecord] = field(default_factory=list)
+    records: list = field(default_factory=list)
+    phases: dict[str, dict[str, float]] = field(default_factory=dict)
     _started: float = field(default_factory=time.monotonic)
     _finished: float | None = None
 
-    def note(self, index: int, label: str, *, cached: bool, failed: bool,
-             elapsed: float, worker: int | None, batch: int = 0,
-             peeled: bool = False, deduped: bool = False,
-             coalesced: bool = False,
-             cache_tier: str | None = None) -> RunRecord:
-        record = RunRecord(index, label, cached, failed, elapsed, worker,
-                           batch, peeled, deduped, coalesced, cache_tier)
-        self.records.append(record)
-        return record
+    def note(self, outcome) -> None:
+        """Tally one :class:`~repro.exec.scheduler.RunOutcome`."""
+        self.records.append(outcome)
+
+    def note_phase(self, name: str, wall_seconds: float,
+                   cpu_seconds: float) -> None:
+        """Add one timed phase's wall and CPU seconds."""
+        timing = self.phases.setdefault(
+            name, {"wall_seconds": 0.0, "cpu_seconds": 0.0})
+        timing["wall_seconds"] += wall_seconds
+        timing["cpu_seconds"] += cpu_seconds
 
     def finish(self) -> None:
         """Freeze the sweep wall-clock (idempotent)."""
@@ -95,7 +80,7 @@ class SweepMetrics:
 
     @property
     def failures(self) -> int:
-        return sum(r.failed for r in self.records)
+        return sum(r.error is not None for r in self.records)
 
     @property
     def dedup_hits(self) -> int:
@@ -145,7 +130,7 @@ class SweepMetrics:
     @property
     def peeled(self) -> int:
         """Batched runs that peeled out early at a guard boundary."""
-        return sum(r.peeled for r in self.records if r.batch >= 2)
+        return sum(r.peeled for r in self.records)
 
     @property
     def peel_rate(self) -> float:
@@ -219,24 +204,14 @@ class SweepMetrics:
         return "\n".join(lines)
 
 
-def progress_line(record: RunRecord, done: int, total: int, *,
+def progress_line(outcome, done: int, total: int, *,
                   hit_rate: float | None = None) -> str:
     """One status line per completed run, for `--progress` style logs."""
-    if record.failed:
-        origin = "FAIL"
-    elif record.cached:
-        origin = "hit "
-    elif record.coalesced:
-        origin = "join"         # waited on another submission's run
-    elif record.deduped:
-        origin = "dup "         # rode an identical in-sweep request
-    else:
-        origin = "run "
-    line = (f"[{done:3d}/{total}] {origin} {record.label:44s} "
-            f"{record.elapsed:7.2f}s")
+    line = (f"[{done:3d}/{total}] {SOURCE_LABELS[outcome.source]:4s} "
+            f"{outcome.request.label:44s} {outcome.elapsed:7.2f}s")
     if hit_rate is not None:
         line += f"  cache {hit_rate:4.0%}"
-    if record.batch >= 2:
+    if outcome.batch >= 2:
         # '*' marks a run that peeled out of its batch before the end
-        line += f"  batch {record.batch}{'*' if record.peeled else ''}"
+        line += f"  batch {outcome.batch}{'*' if outcome.peeled else ''}"
     return line

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..kernels import BenchmarkRun
-from ..obs.profile import ExecProfile
 from .job import (
     RunRequest,
     SweepSpec,
@@ -43,7 +42,13 @@ from .progress import SweepMetrics, progress_line
 
 @dataclass
 class RunOutcome:
-    """One request's result: a payload on success, an error string else."""
+    """One request's result: a payload on success, an error string else.
+
+    The one per-run record: progress lines, :class:`SweepMetrics`, the
+    manifest's ``runs.jsonl`` rows and the service's job resource all
+    read it, and :attr:`source` is the one statement of where a result
+    came from.
+    """
 
     index: int
     request: RunRequest
@@ -66,10 +71,41 @@ class RunOutcome:
         return self.error is None and self.payload is not None
 
     @property
+    def source(self) -> str:
+        """Where the result came from, one of ``error``, ``cache``,
+        ``coalesced``, ``deduped`` and ``executed``; the first that
+        applies wins."""
+        if self.error is not None:
+            return "error"
+        if self.cached:
+            return "cache"
+        if self.coalesced:
+            return "coalesced"
+        if self.deduped:
+            return "deduped"
+        return "executed"
+
+    @property
     def elapsed(self) -> float:
-        """Simulation seconds (0 for cache hits)."""
-        return 0.0 if self.cached else (self.payload or {}).get("elapsed",
-                                                                0.0)
+        """Simulation seconds this slot ran itself: 0 unless
+        :attr:`source` is ``executed`` (a slot that rode another's
+        simulation carries no execution time of its own)."""
+        if self.source != "executed":
+            return 0.0
+        return (self.payload or {}).get("elapsed", 0.0)
+
+    @property
+    def batch(self) -> int:
+        """Width of the array-of-machines batch that produced the
+        payload in this sweep (0 for cache hits and single dispatch)."""
+        return 0 if self.cached else (self.payload or {}).get("batch_size",
+                                                               0)
+
+    @property
+    def peeled(self) -> bool:
+        """The run peeled out of its batch before the end of program."""
+        engine = (self.payload or {}).get("engine") or {}
+        return self.batch >= 2 and bool(engine.get("peel_count"))
 
     @property
     def worker(self) -> int | None:
@@ -111,6 +147,24 @@ def _pool_batch(requests: list, timeout: float | None,
         return [(None, error)] * len(requests)
 
 
+@contextmanager
+def _phase(name: str, metrics: SweepMetrics, observer):
+    """Time one executor phase into ``metrics`` in wall and CPU seconds.
+
+    The body fills the yielded dict with the phase's counts; the
+    observer, if any, then gets the phase's epoch-second bounds and
+    those counts (the service's stage spans).
+    """
+    info: dict = {}
+    started = time.time()
+    wall, cpu = time.perf_counter(), time.process_time()
+    yield info
+    metrics.note_phase(name, time.perf_counter() - wall,
+                       time.process_time() - cpu)
+    if observer is not None:
+        observer.on_phase(name, started, time.time(), **info)
+
+
 class SweepExecutor:
     """Schedules sweeps over a cache and (optionally) a process pool.
 
@@ -127,16 +181,15 @@ class SweepExecutor:
         (``--no-batch``).
     :param log: callable for progress lines (e.g. ``print``); ``None``
         runs quietly.
-    :param profile: collect an :class:`~repro.obs.profile.ExecProfile`
-        per sweep (``--profile``): per-phase wall/CPU timings and
-        per-run self-time, exposed as :attr:`last_profile` and folded
-        into the manifest.  Off by default — profiling is opt-in and
-        otherwise completely off-path.
+
+    Every sweep times its digest, cache and execute phases in wall and
+    CPU seconds (:attr:`SweepMetrics.phases`, the manifest's ``phases``
+    section).
     """
 
     def __init__(self, jobs: int = 0, cache=None, *,
                  timeout: float | None = None, refresh: bool = False,
-                 batch: bool = True, log=None, profile: bool = False):
+                 batch: bool = True, log=None):
         if jobs < 0:
             raise ValueError("jobs must be >= 0")
         self.jobs = jobs
@@ -145,9 +198,7 @@ class SweepExecutor:
         self.refresh = refresh
         self.batch = batch
         self.log = log
-        self.profile = profile
         self.last_metrics: SweepMetrics | None = None
-        self.last_profile: ExecProfile | None = None
         self._pool: ProcessPoolExecutor | None = None
 
     # -- lifecycle -------------------------------------------------------
@@ -190,11 +241,11 @@ class SweepExecutor:
             outcome is appended to its run log as it lands (cache hits
             included) and the manifest is finalized when the sweep ends.
         :param observer: optional observability hook — duck-typed with
-            ``on_phase(name, started, ended, **info)`` called after the
-            cache and execute phases (epoch-second boundaries) and
-            ``on_outcome(outcome, record)`` called per outcome as it
-            lands.  The service uses this to grow the request's span
-            tree; observer errors are the caller's problem by design.
+            ``on_phase(name, started, ended, **info)`` called after each
+            timed phase (epoch-second boundaries) and
+            ``on_outcome(outcome)`` called per outcome as it lands.  The
+            service uses this to grow the request's span tree; observer
+            errors are the caller's problem by design.
         :param digests: the requests' :func:`request_digest` values, in
             order, when the caller has computed them already (the
             service does); ``None`` computes them here.
@@ -207,93 +258,60 @@ class SweepExecutor:
         requests = list(requests)
         metrics = SweepMetrics(total=len(requests))
         self.last_metrics = metrics
-        profile = ExecProfile() if self.profile else None
-        self.last_profile = profile
 
         if digests is None:
-            with profile.phase("digest") if profile else nullcontext():
+            with _phase("digest", metrics, observer):
                 digests = [request_digest(request) for request in requests]
         elif len(digests) != len(requests):
             raise ValueError(f"{len(digests)} digests for "
                              f"{len(requests)} requests")
         outcomes: list[RunOutcome | None] = [None] * len(requests)
 
+        def land(outcome: RunOutcome) -> None:
+            outcomes[outcome.index] = outcome
+            metrics.note(outcome)
+            if manifest is not None:
+                manifest.note_outcome(outcome)
+            if observer is not None:
+                observer.on_outcome(outcome)
+            if self.log:
+                self.log(progress_line(outcome, metrics.completed,
+                                       metrics.total,
+                                       hit_rate=metrics.hit_rate))
+
         # cache phase — identical digests collapse onto one slot
         pending: dict[str, list[int]] = {}
-        done = 0
-        phase_started = time.time()
-        with profile.phase("cache") if profile else nullcontext():
+        with _phase("cache", metrics, observer) as info:
             for index, (request, digest) in enumerate(zip(requests,
                                                           digests)):
                 payload = None
                 if self.cache is not None and not self.refresh:
                     payload = self.cache.get(digest)
                 if payload is not None:
-                    tier = self._hit_tier()
-                    outcomes[index] = RunOutcome(index, request, digest,
-                                                 payload=payload,
-                                                 cached=True,
-                                                 cache_tier=tier)
-                    done += 1
-                    record = metrics.note(index, request.label, cached=True,
-                                          failed=False, elapsed=0.0,
-                                          worker=None, cache_tier=tier)
-                    if manifest is not None:
-                        manifest.note_outcome(outcomes[index], record)
-                    if observer is not None:
-                        observer.on_outcome(outcomes[index], record)
-                    if self.log:
-                        self.log(progress_line(record, done, metrics.total,
-                                               hit_rate=metrics.hit_rate))
+                    land(RunOutcome(index, request, digest, payload=payload,
+                                    cached=True,
+                                    cache_tier=self._hit_tier()))
                 else:
                     pending.setdefault(digest, []).append(index)
-        if observer is not None:
-            observer.on_phase("cache", phase_started, time.time(),
-                              hits=done, misses=len(pending))
+            info.update(hits=metrics.completed, misses=len(pending))
 
-        # execute phase
+        # execute phase — duplicates share the payload, and only the
+        # first carries the execution time (RunOutcome.elapsed)
         unique = [(digest, requests[indices[0]])
                   for digest, indices in pending.items()]
-        phase_started = time.time()
-        with profile.phase("execute") if profile else nullcontext():
+        with _phase("execute", metrics, observer) as info:
             for digest, payload, error in self._execute(unique, trace_id):
                 for position, index in enumerate(pending[digest]):
-                    outcomes[index] = RunOutcome(index, requests[index],
-                                                 digest, payload=payload,
-                                                 error=error,
-                                                 deduped=position > 0)
-                    done += 1
-                    # duplicates share the payload but only the first one
-                    # carries the execution time (metrics honesty)
-                    engine = (payload or {}).get("engine") or {}
-                    record = metrics.note(
-                        index, requests[index].label, cached=False,
-                        failed=error is not None,
-                        elapsed=((payload or {}).get("elapsed", 0.0)
-                                 if position == 0 else 0.0),
-                        worker=(payload or {}).get("worker"),
-                        batch=(payload or {}).get("batch_size", 0),
-                        peeled=bool(engine.get("peel_count")),
-                        deduped=position > 0)
-                    if position == 0 and profile is not None:
-                        profile.note_run(requests[index].label, payload)
-                    if manifest is not None:
-                        manifest.note_outcome(outcomes[index], record)
-                    if observer is not None:
-                        observer.on_outcome(outcomes[index], record)
-                    if self.log:
-                        self.log(progress_line(record, done, metrics.total,
-                                               hit_rate=metrics.hit_rate))
+                    land(RunOutcome(index, requests[index], digest,
+                                    payload=payload, error=error,
+                                    deduped=position > 0))
                 if error is None and self.cache is not None:
                     self.cache.put(digest, payload)
-        if observer is not None:
-            observer.on_phase("execute", phase_started, time.time(),
-                              executed=len(unique))
+            info.update(executed=len(unique))
 
         metrics.finish()
         if manifest is not None:
-            manifest.finalize(metrics=metrics, cache=self.cache, spec=spec,
-                              profile=profile)
+            manifest.finalize(metrics=metrics, cache=self.cache, spec=spec)
         return [outcome for outcome in outcomes if outcome is not None]
 
     def _coalesce(self, unique):

@@ -24,10 +24,7 @@ observable lifecycle, in four stdlib-only layers:
 - :mod:`repro.obs.prom` + :mod:`repro.obs.instruments` — a Prometheus
   text-exposition metrics plane (``GET /v1/metrics?format=prometheus``)
   with request-latency and queue-wait histograms, in-flight gauges and
-  per-tier cache counters;
-- :mod:`repro.obs.profile` — opt-in ``--profile`` hooks: per-phase
-  wall/CPU timings and top-N fused-block self-time folded into the
-  sweep manifest, summarized by ``repro obs``.
+  per-tier cache counters.
 
 See ``docs/observability.md`` for the metric reference, trace anatomy
 and logging schema.
@@ -35,13 +32,11 @@ and logging schema.
 
 from .context import TraceContext
 from .log import configure_logging, emit, get_logger
-from .profile import ExecProfile
 from .prom import Counter, Gauge, Histogram, PromRegistry, render_snapshot
 from .spans import Span, SpanRecorder
 
 __all__ = [
     "Counter",
-    "ExecProfile",
     "Gauge",
     "Histogram",
     "PromRegistry",

@@ -19,8 +19,8 @@ Two mechanisms from the paper are layered on top:
 
 The serve rule itself — which request of one bank wins one cycle, who
 else that bank read serves, where the bank's priority moves — is one
-pure function, :func:`serve_bank`, shared by :meth:`DataCrossbar.arbitrate`
-and the fast engine's replays.
+pure function, :func:`serve_bank`, shared by :meth:`DataCrossbar.arbitrate`,
+the fast engine's replays and the instruction crossbar (all reads).
 """
 
 from __future__ import annotations

@@ -6,12 +6,15 @@ power mechanism of the paper's platform).  Cores requesting a different
 address in the same bank lose arbitration and are clock gated for the cycle.
 
 Arbitration is rotating-priority per bank so that divergent cores make
-round-robin progress instead of starving.
+round-robin progress instead of starving: the serve rule is the data
+crossbar's, :func:`~repro.platform.dxbar.serve_bank`, with every request
+a read.
 """
 
 from __future__ import annotations
 
 from .config import PlatformConfig
+from .dxbar import serve_bank
 from .trace import ActivityTrace
 
 
@@ -22,6 +25,8 @@ class InstructionCrossbar:
         self._config = config
         self._trace = trace
         self._priority = [0] * config.im_banks
+        # serve_bank's per-position write flags: a fetch never writes.
+        self._reads = (False,) * config.num_cores
 
     def arbitrate(self, requests: dict[int, int]) -> set[int]:
         """Arbitrate one cycle of fetch requests.
@@ -47,39 +52,29 @@ class InstructionCrossbar:
             trace.note_lockstep(len(served))
             return served
 
-        by_bank: dict[int, list[int]] = {}
+        by_bank: dict[int, tuple[list[int], list[int]]] = {}
         for core, address in requests.items():
-            by_bank.setdefault(config.im_bank_of(address), []).append(core)
+            bank = config.im_bank_of(address)
+            if bank in by_bank:
+                by_bank[bank][0].append(core)
+                by_bank[bank][1].append(address)
+            else:
+                by_bank[bank] = ([core], [address])
 
         granted: set[int] = set()
         largest_group = 0
-        for bank, cores in by_bank.items():
-            winner_core = _rotating_pick(cores, self._priority[bank],
-                                         config.num_cores)
-            winner_addr = requests[winner_core]
-            if config.im_broadcast:
-                served = [c for c in cores if requests[c] == winner_addr]
-            else:
-                served = [winner_core]   # one fetch per bank per cycle
-            granted.update(served)
+        for bank, (cores, addresses) in by_bank.items():
+            served, self._priority[bank] = serve_bank(
+                self._priority[bank], cores, addresses, self._reads,
+                config.im_broadcast, config.num_cores)
+            for position in served:
+                granted.add(cores[position])
             trace.im_bank_accesses += 1
             trace.im_fetches_served += len(served)
             if len(served) < len(cores):
                 trace.im_conflict_cycles += 1
-            self._priority[bank] = (winner_core + 1) % config.num_cores
             if len(served) > largest_group:
                 largest_group = len(served)
 
         trace.note_lockstep(largest_group)
         return granted
-
-
-def _rotating_pick(cores: list[int], start: int, num_cores: int) -> int:
-    """Pick the requesting core closest after ``start`` in rotation order."""
-    best = cores[0]
-    best_key = (best - start) % num_cores
-    for core in cores:
-        key = (core - start) % num_cores
-        if key < best_key:
-            best, best_key = core, key
-    return best

@@ -74,6 +74,9 @@ RETAINED_TERMINAL_JOBS = 64
 #: name a path under ``<state_dir>/jobs``
 _JOB_ID = re.compile(r"[0-9a-f]{12}")
 
+#: ``_runs_total`` keys that differ from the run source they count
+_RUN_TOTALS = {"cache": "cached", "error": "failed"}
+
 
 class Job:
     """One submitted sweep and everything the API reports about it.
@@ -155,18 +158,6 @@ class Job:
             meta={"job_id": self.id, "name": self.spec.name,
                   "status": self.status})
 
-    @staticmethod
-    def _source(outcome: RunOutcome) -> str:
-        if outcome.error is not None:
-            return "error"
-        if outcome.cached:
-            return "cache"
-        if outcome.coalesced:
-            return "coalesced"
-        if outcome.deduped:
-            return "deduped"
-        return "executed"
-
     def to_json(self, *, runs: bool = False) -> dict:
         """The job resource of ``GET /v1/sweeps/{id}``."""
         doc = {
@@ -190,7 +181,7 @@ class Job:
                     "index": outcome.index,
                     "label": outcome.request.label,
                     "digest": outcome.digest,
-                    "source": self._source(outcome),
+                    "source": outcome.source,
                     "error": outcome.error,
                     "golden_match": outcome.golden_match,
                     "elapsed": outcome.elapsed,
@@ -242,25 +233,31 @@ class StoredJob:
 class _ManifestProxy:
     """Adapter the shared executor streams owned-run rows through.
 
-    The executor numbers outcomes within the subset it was handed;
-    the proxy remaps them to job-level indices before they reach the
-    job's :class:`~repro.telemetry.manifest.SweepManifestWriter`, and
-    swallows ``finalize`` — the service finalizes once the coalesced
-    and duplicate rows are in too.
+    The executor numbers outcomes within the subset it was handed; the
+    proxy gives each outcome its job-level index (the first request
+    with its digest) before the row reaches the job's
+    :class:`~repro.telemetry.manifest.SweepManifestWriter`.  It keeps
+    the remapped outcome in ``executed`` and, of ``finalize``, only the
+    run's phase timings, which add up in the job's metrics: the
+    service finalizes once the coalesced and duplicate rows are in too.
     """
 
     def __init__(self, job: Job, writer: SweepManifestWriter,
-                 index_map: list[int]):
+                 first_index: dict[str, int], metrics: SweepMetrics):
         self._job = job
         self._writer = writer
-        self._index_map = index_map
+        self._first_index = first_index
+        self._metrics = metrics
+        self.executed: dict[str, RunOutcome] = {}
 
-    def note_outcome(self, outcome, record=None) -> None:
-        remapped = replace(outcome, index=self._index_map[outcome.index])
+    def note_outcome(self, outcome) -> None:
+        remapped = replace(outcome, index=self._first_index[outcome.digest])
+        self.executed[outcome.digest] = remapped
         self._job.note_row(self._writer, remapped)
 
-    def finalize(self, **kwargs) -> None:
-        pass
+    def finalize(self, *, metrics, **_) -> None:
+        for name, timing in metrics.phases.items():
+            self._metrics.note_phase(name, **timing)
 
 
 class _ExecObserver:
@@ -285,12 +282,11 @@ class _ExecObserver:
         emit(f"exec.{name}", trace_id=self._job.trace_id,
              job_id=self._job.id, **info)
 
-    def on_outcome(self, outcome, record=None) -> None:
+    def on_outcome(self, outcome) -> None:
         end = time.time()
-        start = end - max(outcome.elapsed or 0.0, 0.0)
-        args = {"digest": outcome.digest[:12],
-                "source": Job._source(outcome)}
-        tier = getattr(outcome, "cache_tier", None)
+        start = end - max(outcome.elapsed, 0.0)
+        args = {"digest": outcome.digest[:12], "source": outcome.source}
+        tier = outcome.cache_tier
         if tier is not None:
             args["cache_tier"] = tier
         self._job.recorder.record(f"run {outcome.request.label}", "run",
@@ -299,7 +295,7 @@ class _ExecObserver:
              job_id=self._job.id, label=outcome.request.label,
              digest=outcome.digest[:12], source=args["source"],
              cache_tier=tier, error=outcome.error,
-             elapsed=round(outcome.elapsed or 0.0, 4))
+             elapsed=round(outcome.elapsed, 4))
 
 
 def default_service_cache(cache_dir=None, *, remote=None) -> TieredCache:
@@ -325,13 +321,11 @@ class SweepService:
 
     def __init__(self, *, cache=None, state_dir="serve-state", jobs: int = 0,
                  batch: bool = True, timeout: float | None = None,
-                 concurrency: int = 2, coalesce_timeout: float = 600.0,
-                 profile: bool = False):
+                 concurrency: int = 2, coalesce_timeout: float = 600.0):
         self.cache = cache if cache is not None else default_service_cache()
         self.state_dir = Path(state_dir)
         self.executor = SweepExecutor(jobs=jobs, cache=self.cache,
-                                      timeout=timeout, batch=batch,
-                                      profile=profile)
+                                      timeout=timeout, batch=batch)
         self.coalesce_timeout = coalesce_timeout
         self.coalescer = InflightCoalescer()
         #: queued and running jobs plus the retained terminal ones
@@ -552,17 +546,15 @@ class SweepService:
              unique=len(claims), owned=len(owned),
              followed=len(claims) - len(owned))
 
-        executed: dict[str, RunOutcome] = {}
+        proxy = _ManifestProxy(job, writer, first_index, metrics)
+        executed = proxy.executed
         try:
             if owned:
-                proxy = _ManifestProxy(job, writer,
-                                       [first_index[d] for d in owned])
                 with self._exec_slot(job):
-                    for outcome in self.executor.run(
-                            [requests[first_index[d]] for d in owned],
-                            manifest=proxy, observer=observer,
-                            trace_id=job.trace_id, digests=owned):
-                        executed[outcome.digest] = outcome
+                    self.executor.run(
+                        [requests[first_index[d]] for d in owned],
+                        manifest=proxy, observer=observer,
+                        trace_id=job.trace_id, digests=owned)
         finally:
             # resolve every owned claim, crash or not — followers must
             # receive *something*.  A claim with no outcome means this
@@ -585,9 +577,8 @@ class SweepService:
             if owned_here[digest]:
                 continue
             result = self._follow(job, claim, digest,
-                                  requests[first_index[digest]],
-                                  first_index[digest], writer, observer,
-                                  executed)
+                                  requests[first_index[digest]], proxy,
+                                  observer)
             if result is not None:
                 followed[digest] = result
 
@@ -597,71 +588,51 @@ class SweepService:
         with recorder.span("manifest", "manifest", parent=jctx):
             for index, (request, digest) in enumerate(zip(requests,
                                                           digests)):
-                base = executed.get(digest)
-                if base is not None:
-                    if index == first_index[digest]:
-                        outcome = base
-                    else:
-                        outcome = replace(base, index=index, deduped=True)
-                        job.note_row(writer, outcome)
-                else:
+                first = index == first_index[digest]
+                outcome = executed.get(digest)
+                if outcome is None:
                     payload, error = followed[digest]
-                    outcome = RunOutcome(
-                        index, request, digest, payload=payload,
-                        error=error, coalesced=True,
-                        deduped=index != first_index[digest])
+                    outcome = RunOutcome(index, request, digest,
+                                         payload=payload, error=error,
+                                         coalesced=True, deduped=not first)
+                    job.note_row(writer, outcome)
+                elif not first:
+                    outcome = replace(outcome, index=index, deduped=True)
                     job.note_row(writer, outcome)
                 outcomes.append(outcome)
-                metrics.note(
-                    index, request.label, cached=outcome.cached,
-                    failed=outcome.error is not None,
-                    elapsed=(outcome.elapsed
-                             if index == first_index[digest]
-                             and not outcome.coalesced else 0.0),
-                    worker=outcome.worker,
-                    batch=(outcome.payload or {}).get("batch_size", 0),
-                    deduped=outcome.deduped, coalesced=outcome.coalesced,
-                    cache_tier=getattr(outcome, "cache_tier", None))
+                metrics.note(outcome)
 
             metrics.finish()
             writer.finalize(metrics=metrics, cache=self.cache,
-                            spec=job.spec, trace_id=job.trace_id,
-                            profile=(self.executor.last_profile
-                                     if owned else None))
+                            spec=job.spec, trace_id=job.trace_id)
         job.metrics = metrics
         job.outcomes = outcomes
         job.completed = len(outcomes)
         with self._lock:
+            # each run counts once, under its source
             totals = self._runs_total
             totals["total"] += len(outcomes)
-            totals["executed"] += (metrics.executed - metrics.dedup_hits
-                                   - metrics.coalesced_hits)
-            totals["cached"] += metrics.cache_hits
-            totals["deduped"] += metrics.dedup_hits
-            totals["coalesced"] += metrics.coalesced_hits
-            totals["failed"] += metrics.failures
-            refused = self._batch_refused
             for outcome in outcomes:
-                if outcome.cached or outcome.deduped or outcome.coalesced:
-                    continue
+                source = outcome.source
+                totals[_RUN_TOTALS.get(source, source)] += 1
                 reason = (outcome.payload or {}).get("batch_refused")
-                if reason:
+                if source == "executed" and reason:
+                    refused = self._batch_refused
                     refused[reason] = refused.get(reason, 0) + 1
         self._finish(job, DONE)
 
-    def _follow(self, job: Job, claim, digest: str, request, index: int,
-                writer: SweepManifestWriter, observer,
-                executed: dict[str, RunOutcome]
+    def _follow(self, job: Job, claim, digest: str, request,
+                proxy: _ManifestProxy, observer
                 ) -> tuple[dict | None, str | None] | None:
         """Wait on another submission's in-flight run for ``digest``.
 
         Normally returns the owner's ``(payload, error)``.  When the
         owner *crashed* (resolved without a result), the first follower
         to inherit the digest takes ownership — it executes the run
-        itself (recorded in ``executed``, streamed through ``writer``)
-        and returns ``None``; later followers wait on the inherited
-        claim as usual.  The handoff span-link and log line are emitted
-        exactly once, by the inheriting follower.
+        itself (streamed through ``proxy``, which records it in
+        ``proxy.executed``) and returns ``None``; later followers wait
+        on the inherited claim as usual.  The handoff span-link and log
+        line are emitted exactly once, by the inheriting follower.
         """
         recorder = job.recorder
         jctx = job.span.context
@@ -691,15 +662,12 @@ class SweepService:
              trace_id=job.trace_id, job_id=job.id, digest=digest[:12],
              owner_trace_id=owner.trace_id if owner else None)
         try:
-            proxy = _ManifestProxy(job, writer, [index])
             with self._exec_slot(job):
-                for outcome in self.executor.run([request], manifest=proxy,
-                                                 observer=observer,
-                                                 trace_id=job.trace_id,
-                                                 digests=[digest]):
-                    executed[digest] = outcome
+                self.executor.run([request], manifest=proxy,
+                                  observer=observer, trace_id=job.trace_id,
+                                  digests=[digest])
         finally:
-            outcome = executed.get(digest)
+            outcome = proxy.executed.get(digest)
             self.coalescer.resolve(
                 digest,
                 outcome.payload if outcome is not None else None,

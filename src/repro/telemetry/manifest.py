@@ -17,8 +17,9 @@ that with two artifacts per sweep directory:
     Written once at :meth:`~SweepManifestWriter.finalize`, atomically
     (temp file + rename): schema version, sweep name, run counts, the
     executor's throughput metrics
-    (:meth:`SweepMetrics.as_dict <repro.exec.progress.SweepMetrics.as_dict>`)
-    and aggregate telemetry across successful runs.
+    (:meth:`SweepMetrics.as_dict <repro.exec.progress.SweepMetrics.as_dict>`),
+    its per-phase wall and CPU seconds and aggregate telemetry across
+    successful runs.
 
 ``python -m repro stats <dir>`` renders either artifact
 (:func:`summarize_manifest`); :func:`load_manifest` returns them parsed.
@@ -48,7 +49,13 @@ from pathlib import Path
 #: (per-phase wall/CPU timings and top-N run self-time, ``--profile``))
 #: (7: rows and totals drop ``mem_fused_blocks``/``mem_fused_ops`` and
 #: ``term_guard``: superblocks no longer fuse LD/STs)
-MANIFEST_SCHEMA = 7
+#: (8: rows carry their ``source``; every manifest carries a ``phases``
+#: section — the executor's wall/CPU seconds per phase — in place of the
+#: opt-in ``profile`` section)
+MANIFEST_SCHEMA = 8
+
+#: rows each of the ``repro stats`` top-runs tables keeps
+TOP_ROWS = 10
 
 
 def telemetry_summary(payload: dict | None) -> dict | None:
@@ -106,10 +113,11 @@ def outcome_record(outcome) -> dict:
         "design": request.design.name,
         "n_samples": request.n_samples,
         "digest": outcome.digest,
+        "source": outcome.source,
         "cached": outcome.cached,
-        "cache_tier": getattr(outcome, "cache_tier", None),
-        "deduped": getattr(outcome, "deduped", False),
-        "coalesced": getattr(outcome, "coalesced", False),
+        "cache_tier": outcome.cache_tier,
+        "deduped": outcome.deduped,
+        "coalesced": outcome.coalesced,
         "error": outcome.error,
         "elapsed": outcome.elapsed,
         "worker": outcome.worker,
@@ -137,13 +145,8 @@ class SweepManifestWriter:
         self._rows = 0
         self._handle = open(self.runs_path, "w", encoding="utf-8")
 
-    def note_outcome(self, outcome, record=None) -> dict:
-        """Append one outcome row (flushed immediately); returns the row.
-
-        ``record`` (the scheduler's :class:`RunRecord`) is accepted for
-        symmetry with the progress hook but the row is derived from the
-        outcome alone, which already carries the bookkeeping.
-        """
+    def note_outcome(self, outcome) -> dict:
+        """Append one outcome row (flushed immediately); returns the row."""
         row = outcome_record(outcome)
         self._handle.write(json.dumps(row, sort_keys=True) + "\n")
         self._handle.flush()
@@ -151,11 +154,11 @@ class SweepManifestWriter:
         return row
 
     def finalize(self, *, metrics=None, cache=None, spec=None,
-                 profile=None, trace_id=None) -> Path:
+                 trace_id=None) -> Path:
         """Write ``manifest.json`` atomically; returns its path.
 
-        :param profile: optional :class:`~repro.obs.profile.ExecProfile`
-            (or its dict form) folded in as the ``"profile"`` section.
+        :param metrics: the sweep's :class:`~repro.exec.progress.SweepMetrics`;
+            its phase timings become the ``"phases"`` section.
         :param trace_id: optional request trace id (service jobs), so a
             manifest on disk can be joined back to its span tree and
             log lines.
@@ -182,13 +185,12 @@ class SweepManifestWriter:
             "golden_mismatches": sum(
                 1 for row in rows if row["golden_match"] is False),
             "metrics": metrics.as_dict() if metrics is not None else None,
+            "phases": _round_phases(metrics.phases if metrics is not None
+                                    else {}),
             "spec": getattr(spec, "name", spec),
             "cache": type(cache).__name__ if cache is not None else None,
             "telemetry_totals": _aggregate_telemetry(telemetry),
         }
-        if profile is not None:
-            manifest["profile"] = (profile if isinstance(profile, dict)
-                                   else profile.as_dict())
         if trace_id is not None:
             manifest["trace_id"] = trace_id
         scratch = self.manifest_path.with_suffix(".json.tmp")
@@ -210,6 +212,46 @@ class SweepManifestWriter:
     def __exit__(self, *exc_info) -> None:
         if not self._handle.closed:
             self.finalize()
+
+
+def _round_phases(phases: dict) -> dict:
+    return {name: {key: round(seconds, 6) for key, seconds in timing.items()}
+            for name, timing in phases.items()}
+
+
+def top_runs(rows: list[dict], top: int = TOP_ROWS) -> list[dict]:
+    """The ``top`` slowest executed rows by their own wall seconds.
+
+    Only rows whose ``source`` is ``executed`` rank: a cache hit or a
+    slot that rode another run's simulation has no run time of its own.
+    """
+    ranked = []
+    for row in rows:
+        if row.get("source") != "executed":
+            continue
+        telemetry = row.get("telemetry") or {}
+        ranked.append({"label": row.get("label", "?"),
+                       "elapsed": row.get("elapsed") or 0.0,
+                       "cycles": telemetry.get("cycles", 0)})
+    return sorted(ranked, key=lambda r: -r["elapsed"])[:top]
+
+
+def top_fused(rows: list[dict], top: int = TOP_ROWS) -> list[dict]:
+    """The ``top`` executed rows by cycles spent in fused superblocks,
+    each with its fused share of the run's cycles; unfused rows skip."""
+    ranked = []
+    for row in rows:
+        telemetry = row.get("telemetry") or {}
+        fused = telemetry.get("fused_cycles", 0)
+        if row.get("source") != "executed" or not fused:
+            continue
+        cycles = telemetry.get("cycles", 0)
+        ranked.append({"label": row.get("label", "?"),
+                       "fused_cycles": fused,
+                       "fused_blocks": telemetry.get("fused_blocks", 0),
+                       "fused_share": round(fused / cycles, 4)
+                       if cycles else 0.0})
+    return sorted(ranked, key=lambda r: -r["fused_cycles"])[:top]
 
 
 def _aggregate_telemetry(summaries: list[dict]) -> dict | None:
@@ -266,6 +308,8 @@ def load_manifest(path) -> tuple[dict | None, list[dict]]:
 
 def summarize_manifest(path) -> str:
     """Human-readable sweep digest for ``python -m repro stats``."""
+    from ..exec.progress import SOURCE_LABELS
+
     manifest, rows = load_manifest(path)
     lines = []
     if manifest is not None:
@@ -291,14 +335,12 @@ def summarize_manifest(path) -> str:
                 f"cache hit rate {metrics.get('hit_rate', 0.0):.0%}")
         if manifest.get("trace_id"):
             lines.append(f"  trace_id: {manifest['trace_id']}")
-        profile = manifest.get("profile") or {}
-        if profile.get("phases"):
-            cells = [f"{name} {timing.get('wall_seconds', 0.0):.3f}s"
-                     for name, timing in profile["phases"].items()]
-            lines.append(
-                f"  profile: {', '.join(cells)} "
-                f"({profile.get('runs_profiled', 0)} runs profiled — "
-                "`repro obs` for the breakdown)")
+        phases = manifest.get("phases") or {}
+        if phases:
+            cells = [f"{name} {timing['wall_seconds']:.3f}s wall "
+                     f"{timing['cpu_seconds']:.3f}s cpu"
+                     for name, timing in phases.items()]
+            lines.append("  phases: " + ", ".join(cells))
         totals = manifest.get("telemetry_totals")
         if totals:
             lines.append(
@@ -330,10 +372,7 @@ def summarize_manifest(path) -> str:
                      f"{'ops/cyc':>7s}  {'lockstep':>8s}  {'wait':>8s}  "
                      "label")
         for row in rows:
-            outcome = ("FAIL" if row["error"] else
-                       "hit" if row["cached"] else
-                       "join" if row.get("coalesced") else
-                       "dup" if row.get("deduped") else "run")
+            outcome = SOURCE_LABELS.get(row.get("source"), "?")
             telemetry = row.get("telemetry") or {}
             cycles = telemetry.get("cycles")
             lines.append(
@@ -346,4 +385,20 @@ def summarize_manifest(path) -> str:
         failures = [row for row in rows if row["error"]]
         for row in failures:
             lines.append(f"  run {row['index']} error: {row['error']}")
+    slowest = top_runs(rows)
+    if slowest:
+        lines.append("")
+        lines.append(f"top {len(slowest)} executed runs by self-time:")
+        for row in slowest:
+            lines.append(f"  {row['elapsed']:8.3f}s  {row['cycles']:>9d} "
+                         f"cycles  {row['label']}")
+    fused = top_fused(rows)
+    if fused:
+        lines.append("")
+        lines.append(f"top {len(fused)} executed runs by fused-block "
+                     "cycles:")
+        for row in fused:
+            lines.append(f"  {row['fused_cycles']:>9d} fused cycles "
+                         f"({row['fused_share']:.0%} of run) over "
+                         f"{row['fused_blocks']} blocks  {row['label']}")
     return "\n".join(lines)

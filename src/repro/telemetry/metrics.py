@@ -59,28 +59,10 @@ class MetricsRegistry:
             raise TypeError(f"metrics source {name!r} must be callable")
         self._sources[name] = source
 
-    def sources(self) -> list[str]:
-        return sorted(self._sources)
-
     def snapshot(self) -> dict:
         """Evaluate every source; sections in stable (sorted) order."""
         return {name: self._sources[name]()
                 for name in sorted(self._sources)}
-
-    def flat(self, separator: str = ".") -> dict:
-        """The snapshot flattened to ``section.metric[.sub]`` keys."""
-        out: dict[str, object] = {}
-
-        def walk(prefix: str, value) -> None:
-            if isinstance(value, dict):
-                for key, sub in value.items():
-                    walk(f"{prefix}{separator}{key}" if prefix else str(key),
-                         sub)
-            else:
-                out[prefix] = value
-
-        walk("", self.snapshot())
-        return out
 
     # ------------------------------------------------------------------
 

@@ -62,8 +62,7 @@ def spec_for(seed: int) -> SweepSpec:
 def served(tmp_path_factory):
     root = tmp_path_factory.mktemp("serve-obs")
     service = SweepService(cache=default_service_cache(root / "cache"),
-                           state_dir=root / "state", concurrency=4,
-                           profile=True)
+                           state_dir=root / "state", concurrency=4)
     with service, start_server(service) as handle:
         yield SimpleNamespace(service=service, handle=handle,
                               client=ServeClient(handle.base_url))
@@ -130,7 +129,11 @@ class TestSpanTree:
         manifest = json.loads(
             (job.directory / "manifest.json").read_text())
         assert manifest["trace_id"] == job.trace_id
-        assert "profile" in manifest           # --profile service
+        # phase timings need no flag: the job's executor run timed them
+        for phase in ("cache", "execute"):
+            timing = manifest["phases"][phase]
+            assert timing["wall_seconds"] >= 0
+            assert timing["cpu_seconds"] >= 0
 
     def test_unknown_job_trace_is_404(self, served):
         with pytest.raises(ServiceError) as excinfo:

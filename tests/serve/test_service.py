@@ -7,11 +7,13 @@ tests only share cache entries when they mean to.
 import http.client
 import json
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
 
 from repro.exec import (
+    MemoryCache,
     RunRequest,
     SweepExecutor,
     SweepSpec,
@@ -142,6 +144,90 @@ class TestEndToEnd:
         assert len(rows) == len(spec)
         assert sorted(row["index"] for row in rows) == [0, 1]
         assert all(len(row["digest"]) == 64 for row in rows)
+
+
+class TestServedTally:
+    """A served job tallies its runs exactly as a direct executor run."""
+
+    #: metrics keys that read the wall clock
+    WALL_CLOCK = {"wall_seconds", "runs_per_second", "worker_utilization"}
+
+    def serve(self, tmp_path, spec):
+        with SweepService(cache=MemoryCache(),
+                          state_dir=tmp_path / "state") as service:
+            job = service.submit(spec)
+            deadline = time.time() + 120
+            while not job.terminal and time.time() < deadline:
+                time.sleep(0.02)
+            assert job.status == "done", job.error
+            manifest = json.loads(
+                (job.directory / "manifest.json").read_text())
+            return job.to_json(runs=True), manifest
+
+    def test_served_metrics_match_a_direct_executor_run(self, tmp_path):
+        spec = SweepSpec("peel-family", tuple(
+            RunRequest("MRPDLN", WITH_SYNC, n_samples=8, seed=seed)
+            for seed in (11, 12, 13)))
+        with SweepExecutor(jobs=0, cache=MemoryCache()) as executor:
+            executor.run(spec)
+        direct = executor.last_metrics.as_dict()
+        # the family batches, and every run peels out of its batch
+        assert direct["batched_runs"] == 3
+        assert direct["peel_rate"] == 1.0
+        resource, manifest = self.serve(tmp_path, spec)
+        for served in (resource["metrics"], manifest["metrics"]):
+            assert set(served) == set(direct)
+            for key in set(direct) - self.WALL_CLOCK:
+                assert served[key] == direct[key], key
+
+    def test_job_rows_carry_their_request_index(self, tmp_path):
+        a, b = (RunRequest("SQRT32", WITH_SYNC, seed=seed, **SMALL)
+                for seed in (606, 607))
+        resource, _ = self.serve(tmp_path, SweepSpec("dups", (a, a, b)))
+        assert [(row["index"], row["source"]) for row in resource["runs"]] \
+            == [(0, "executed"), (1, "deduped"), (2, "executed")]
+
+    def test_run_totals_count_each_run_once_under_its_source(self,
+                                                              tmp_path):
+        """A follower job of two identical requests: both rows read
+        ``coalesced``, and the service's run counters say so.  The
+        follower never calls the executor, so its manifest has no phase
+        timings, while the owner's has ``cache`` and ``execute``."""
+        request = RunRequest("SQRT32", WITH_SYNC, seed=608, **SMALL)
+        service = SweepService(cache=MemoryCache(),
+                               state_dir=tmp_path / "state", concurrency=4)
+        real_run, gate = service.executor.run, threading.Event()
+
+        def gated_run(*args, **kwargs):
+            assert gate.wait(30.0)
+            return real_run(*args, **kwargs)
+
+        def wait_until(predicate):
+            deadline = time.time() + 60
+            while not predicate():
+                assert time.time() < deadline
+                time.sleep(0.01)
+
+        service.executor.run = gated_run
+        with service:
+            owner = service.submit(SweepSpec("owner", (request,)))
+            wait_until(lambda: service.coalescer.as_dict()["owned"] == 1)
+            follower = service.submit(SweepSpec("follower",
+                                                (request, request)))
+            wait_until(
+                lambda: service.coalescer.as_dict()["coalesced"] == 1)
+            gate.set()
+            wait_until(lambda: owner.terminal and follower.terminal)
+            runs = service.metrics_registry().snapshot()["service"]["runs"]
+        assert [row["source"] for row in
+                follower.to_json(runs=True)["runs"]] == ["coalesced"] * 2
+        assert runs == {"total": 3, "executed": 1, "cached": 0,
+                        "deduped": 0, "coalesced": 2, "failed": 0}
+        phases = {job.spec.name: json.loads(
+            (job.directory / "manifest.json").read_text())["phases"]
+            for job in (owner, follower)}
+        assert set(phases["owner"]) == {"cache", "execute"}
+        assert phases["follower"] == {}
 
 
 class TestRunsEndpoints:

@@ -11,7 +11,7 @@ from repro.telemetry import (
     load_manifest,
     summarize_manifest,
 )
-from repro.telemetry.manifest import MANIFEST_SCHEMA
+from repro.telemetry.manifest import MANIFEST_SCHEMA, top_fused, top_runs
 
 
 def small_spec() -> SweepSpec:
@@ -158,3 +158,109 @@ class TestCoalescingColumns:
         summary = summarize_manifest(tmp_path / "out")
         assert "dup" in summary
         assert "2 deduped" in summary
+
+
+def row(label, source="executed", elapsed=0.0, cycles=1000, fused_cycles=0,
+        fused_blocks=0):
+    return {"index": 0, "label": label, "source": source, "error": None,
+            "elapsed": elapsed,
+            "telemetry": {"cycles": cycles, "fused_cycles": fused_cycles,
+                          "fused_blocks": fused_blocks}}
+
+
+class TestPhases:
+    def test_phase_records_wall_and_cpu(self, sweep_dir):
+        """Every sweep times its phases, with no flag to turn it on."""
+        directory, _ = sweep_dir
+        phases = json.loads(
+            (directory / "manifest.json").read_text())["phases"]
+        assert set(phases) == {"digest", "cache", "execute"}
+        for timing in phases.values():
+            assert set(timing) == {"wall_seconds", "cpu_seconds"}
+            assert timing["wall_seconds"] >= 0
+            assert timing["cpu_seconds"] >= 0
+        # the simulations happen in the execute phase
+        assert phases["execute"]["wall_seconds"] > 0
+
+    def test_manifest_phases_round_trip_through_load_manifest(self,
+                                                              tmp_path):
+        spec = small_spec()
+        writer = SweepManifestWriter(tmp_path / "out", name=spec.name)
+        with SweepExecutor(jobs=0, cache=MemoryCache()) as executor:
+            executor.run(spec, manifest=writer)
+        manifest, _ = load_manifest(tmp_path / "out")
+        timed = executor.last_metrics.phases
+        assert manifest["phases"] == {
+            name: {key: round(seconds, 6) for key, seconds in t.items()}
+            for name, t in timed.items()}
+
+    def test_stats_without_phases_section(self, tmp_path, sweep_dir):
+        """A bare runs.jsonl has no phases line but still ranks runs."""
+        directory, _ = sweep_dir
+        orphan = tmp_path / "orphan"
+        orphan.mkdir()
+        (orphan / "runs.jsonl").write_text(
+            (directory / "runs.jsonl").read_text())
+        text = summarize_manifest(orphan)
+        assert "phases:" not in text
+        assert "executed runs by self-time" in text
+
+
+class TestTopRuns:
+    def test_top_runs_sorted_by_elapsed(self):
+        rows = [row("slow", elapsed=3.0), row("fast", elapsed=0.1),
+                row("mid", elapsed=1.0),
+                # no run time of their own: never ranked
+                row("hit", source="cache", elapsed=9.0),
+                row("dup", source="deduped", elapsed=9.0),
+                row("join", source="coalesced", elapsed=9.0)]
+        assert [r["label"] for r in top_runs(rows, top=2)] == \
+            ["slow", "mid"]
+
+    def test_top_fused_skips_unfused_and_computes_share(self):
+        rows = [row("fused", fused_cycles=500, fused_blocks=3),
+                row("plain"),
+                row("cached", source="cache", fused_cycles=900)]
+        (fused,) = top_fused(rows)
+        assert fused["label"] == "fused"
+        assert fused["fused_share"] == 0.5
+        assert fused["fused_blocks"] == 3
+
+    def test_top_runs_tolerate_sparse_rows(self):
+        rows = [{"label": "sparse", "source": "executed",
+                 "telemetry": None},
+                {"label": "partial", "source": "executed", "elapsed": 0.5},
+                {"source": "executed", "elapsed": None}]
+        ranked = top_runs(rows)
+        assert [r["label"] for r in ranked] == ["partial", "sparse", "?"]
+        assert ranked[1]["cycles"] == 0
+        assert top_fused(rows) == []
+
+    def test_stats_prints_phases_and_top_tables(self, tmp_path):
+        writer = SweepManifestWriter(tmp_path / "out", name="tables")
+        with SweepExecutor(jobs=0, cache=MemoryCache()) as executor:
+            outcomes = executor.run(small_spec(), manifest=writer)
+        text = summarize_manifest(tmp_path / "out")
+        (phases,) = [line for line in text.splitlines()
+                     if line.startswith("  phases: ")]
+        for name in ("digest", "cache", "execute"):
+            assert f"{name} " in phases
+        assert "s wall" in phases and "s cpu" in phases
+        assert f"top {len(outcomes)} executed runs by self-time:" in text
+        rows = [json.loads(line) for line in
+                (tmp_path / "out" / "runs.jsonl").read_text().splitlines()]
+        # the with-sync kernels run in lockstep, so some runs fuse
+        assert top_fused(rows)
+        assert f"top {len(top_fused(rows))} executed runs by fused-block " \
+            "cycles:" in text
+
+    def test_stats_prints_each_fused_run_with_its_share(self, tmp_path):
+        rows = [row("fused", fused_cycles=500, fused_blocks=3),
+                row("plain"),
+                row("cached", source="cache", fused_cycles=900)]
+        (tmp_path / "runs.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in rows))
+        lines = summarize_manifest(tmp_path).splitlines()
+        at = lines.index("top 1 executed runs by fused-block cycles:")
+        assert lines[at + 1:] == [
+            "        500 fused cycles (50% of run) over 3 blocks  fused"]
