@@ -99,9 +99,8 @@ def telemetry_section(n_samples: int = 64) -> str:
     region tree, so the wait table below ties each checkpoint's cost to
     a source construct.
     """
-    from ..kernels import BENCHMARKS, build_program
-    from ..kernels.suite import WITH_SYNC
-    from ..platform import Machine
+    from ..kernels import BENCHMARKS
+    from ..kernels.suite import WITH_SYNC, prepare_benchmark
     from ..sync import lint_assembly, lint_minic
     from ..telemetry import BarrierTracer
     from .experiments import evaluation_channels
@@ -110,19 +109,13 @@ def telemetry_section(n_samples: int = 64) -> str:
     lines = []
     for name in sorted(BENCHMARKS):
         bench = BENCHMARKS[name]
-        program = build_program(name, True)
         if bench.kind == "minic":
             lint = lint_minic(bench.source, name=name, sync_mode="auto")
         else:
             lint = lint_assembly(bench.source, name=name)
-        machine = Machine(program, WITH_SYNC.platform_config(len(channels)))
-        tracer = BarrierTracer(machine, labels=lint.region_labels(program))
-        for core, channel in enumerate(channels):
-            machine.dm.load(core * 2048, [v & 0xFFFF for v in channel])
-        from ..kernels.sqrt32 import N_SAMPLES_ADDRESS
-
-        address = program.symbols.get("g_n_samples", N_SAMPLES_ADDRESS)
-        machine.dm.write(address, len(channels[0]))
+        machine, _ = prepare_benchmark(name, WITH_SYNC, channels)
+        tracer = BarrierTracer(machine,
+                               labels=lint.region_labels(machine.program))
         machine.run()
 
         summary = tracer.summary()

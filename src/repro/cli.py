@@ -22,6 +22,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .analysis import (
@@ -114,35 +115,27 @@ def cmd_listing(args) -> int:
 def _prepared_machine(args):
     """Build a loaded, un-run machine for an instrumented subcommand."""
     from .analysis import evaluation_channels
-    from .platform import Machine
+    from .kernels.suite import prepare_benchmark
 
-    design = DESIGNS[args.design]
-    channels = evaluation_channels(args.samples)
-    program = build_program(args.benchmark, design.sync_enabled)
-    machine = Machine(program, design.platform_config(len(channels)))
-    for core, channel in enumerate(channels):
-        machine.dm.load(core * 2048, [v & 0xFFFF for v in channel])
-    from .kernels.sqrt32 import N_SAMPLES_ADDRESS
-
-    address = program.symbols.get("g_n_samples", N_SAMPLES_ADDRESS)
-    machine.dm.write(address, len(channels[0]))
-    return machine, program
+    machine, _ = prepare_benchmark(args.benchmark, DESIGNS[args.design],
+                                   evaluation_channels(args.samples))
+    return machine
 
 
 def _instrumented_run(args, probe):
-    """Run one benchmark with a probe attached; returns (machine, program)."""
-    machine, program = _prepared_machine(args)
+    """Run one benchmark with a probe attached; returns the machine."""
+    machine = _prepared_machine(args)
     if probe is not None:
         machine.attach_probe(probe)
     machine.run()
-    return machine, program
+    return machine
 
 
 def cmd_profile(args) -> int:
     from .analysis.profiler import ProfileProbe, format_profile, hottest_pcs
 
     probe = ProfileProbe()
-    machine, program = _instrumented_run(args, probe)
+    program = _instrumented_run(args, probe).program
     print(format_profile(probe, program))
     print("\nhottest instructions:")
     for pc, text, cycles in hottest_pcs(probe, program, top=8):
@@ -154,7 +147,7 @@ def cmd_timeline(args) -> int:
     from .analysis.timeline import TimelineProbe
 
     probe = TimelineProbe(max_cycles=args.cycles)
-    machine, _ = _instrumented_run(args, probe)
+    _instrumented_run(args, probe)
     compress = max(1, probe.cycles_recorded // args.width)
     print(probe.render(width=args.width, compress=compress))
     print(f"strict lockstep ratio: {probe.lockstep_ratio():.2f}")
@@ -165,7 +158,7 @@ def cmd_vcd(args) -> int:
     from .platform.vcd import VcdProbe
 
     probe = VcdProbe(args.output)
-    machine, _ = _instrumented_run(args, probe)   # run() finishes the probe
+    machine = _instrumented_run(args, probe)   # run() finishes the probe
     print(f"wrote {args.output} ({machine.trace.cycles} cycles)")
     return 0
 
@@ -190,7 +183,7 @@ def cmd_trace(args) -> int:
     from .telemetry import BarrierTracer, MetricsRegistry, write_trace
 
     design = DESIGNS[args.design]
-    machine, program = _prepared_machine(args)
+    machine = _prepared_machine(args)
     if machine.synchronizer is None:
         print(f"trace: design {design.name!r} has no synchronizer — "
               "barrier spans need one (try --design with-sync)")
@@ -241,7 +234,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_syncstats(args) -> int:
-    machine, _ = _instrumented_run(args, None)
+    machine = _instrumented_run(args, None)
     if machine.synchronizer is None:
         print("design has no synchronizer")
         return 1
@@ -287,23 +280,16 @@ def _synclint_crosscheck(target: str, report, args) -> int:
     """Run a bundled benchmark and replay its barrier traces against the
     static region tree; returns a process exit code."""
     from .analysis import evaluation_channels
-    from .kernels.suite import WITH_SYNC
-    from .kernels.sqrt32 import N_SAMPLES_ADDRESS
-    from .platform import Machine
+    from .kernels.suite import WITH_SYNC, prepare_benchmark
     from .sync.verifier import SyncCrosscheck
 
     if target not in BENCHMARKS:
         print(f"synclint: --crosscheck needs a bundled benchmark, "
               f"not {target!r}")
         return 2
-    channels = evaluation_channels(args.samples)
-    program = build_program(target, True)
-    machine = Machine(program, WITH_SYNC.platform_config(len(channels)))
+    machine, _ = prepare_benchmark(target, WITH_SYNC,
+                                   evaluation_channels(args.samples))
     check = SyncCrosscheck(machine, report)
-    for core, channel in enumerate(channels):
-        machine.dm.load(core * 2048, [v & 0xFFFF for v in channel])
-    address = program.symbols.get("g_n_samples", N_SAMPLES_ADDRESS)
-    machine.dm.write(address, len(channels[0]))
     machine.run()
     result = check.result()
     print(result.render())
@@ -524,14 +510,29 @@ def cmd_client(args) -> int:
     except ServiceError as exc:
         print(f"client: submission rejected: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"client: cannot reach {client.base_url}: {exc}",
+              file=sys.stderr)
+        return 2
     job_id = job["id"]
     trace_id = job.get("trace_id") or (client.last_trace.trace_id
                                        if client.last_trace else "?")
     print(f"job {job_id} accepted (trace {trace_id})")
 
+    def lost(exc: OSError) -> int:
+        print(f"client: {client.base_url}: {exc}", file=sys.stderr)
+        return 2
+
+    # server errors are caught apart from the prints, so a closed
+    # stdout still reaches main's handler
     seen = 0
-    for event in client.events(job_id):
-        if event.get("event") == "end":
+    events = client.events(job_id)
+    while True:
+        try:
+            event = next(events, None)
+        except OSError as exc:
+            return lost(exc)
+        if event is None or event.get("event") == "end":
             break
         seen += 1
         origin = SOURCE_LABELS.get(event.get("source"), "?")
@@ -540,7 +541,10 @@ def cmd_client(args) -> int:
             line += f"  ({event['error']})"
         print(line, flush=True)
 
-    final = client.wait(job_id, timeout=args.timeout)
+    try:
+        final = client.wait(job_id, timeout=args.timeout)
+    except OSError as exc:
+        return lost(exc)
     runs = final.get("runs") or []
     counts = {key: sum(1 for row in runs if row["source"] == key)
               for key in ("executed", "cache", "coalesced", "deduped",
@@ -917,7 +921,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed our stdout early (``| head``): point it at
+        # devnull so the flush at exit cannot raise again
+        if sys.stdout is None:
+            raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -235,7 +235,8 @@ class SweepExecutor:
 
         :param trace_id: optional trace identifier stamped on the
             structured log records the batch layer emits (refusals,
-            scalar fallbacks), tying them to the submitting request.
+            scalar fallbacks) and recorded as the manifest's
+            ``trace_id``, tying both to the submitting request.
         :param manifest: optional
             :class:`~repro.telemetry.manifest.SweepManifestWriter`; each
             outcome is appended to its run log as it lands (cache hits
@@ -311,7 +312,8 @@ class SweepExecutor:
 
         metrics.finish()
         if manifest is not None:
-            manifest.finalize(metrics=metrics, cache=self.cache, spec=spec)
+            manifest.finalize(metrics=metrics, cache=self.cache, spec=spec,
+                              trace_id=trace_id)
         return [outcome for outcome in outcomes if outcome is not None]
 
     def _coalesce(self, unique):

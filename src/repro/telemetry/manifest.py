@@ -159,9 +159,9 @@ class SweepManifestWriter:
 
         :param metrics: the sweep's :class:`~repro.exec.progress.SweepMetrics`;
             its phase timings become the ``"phases"`` section.
-        :param trace_id: optional request trace id (service jobs), so a
-            manifest on disk can be joined back to its span tree and
-            log lines.
+        :param trace_id: optional request trace id (``repro sweep`` and
+            service jobs), so a manifest on disk can be joined back to
+            its span tree and log lines.
         """
         self.close()
         rows = _read_jsonl(self.runs_path)

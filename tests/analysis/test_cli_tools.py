@@ -1,9 +1,15 @@
 """CLI tests for the instrumentation subcommands."""
 
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 
 N = "32"
@@ -58,6 +64,51 @@ class TestInstrumentedCommands:
         # the fast paths and what step() still ran add up to the run
         assert sum(int(count) for count in paths.groups()) == total
         assert "replayed by the lockstep and divergent bursts" in out
+
+    @pytest.mark.parametrize("command", [["syncstats"],
+                                         ["synclint", "--crosscheck"]])
+    def test_window_past_the_bank_layout_is_rejected(self, command):
+        # 400 samples overrun the per-bank buffers (384 at most), as
+        # `repro run` already says
+        with pytest.raises(ValueError, match="sample count 400 outside"):
+            main([*command, "MRPDLN", "--samples", "400"])
+
+
+class TestClosedPipe:
+    def test_reader_that_stops_after_one_line_gets_no_traceback(self,
+                                                                tmp_path):
+        # far more than a pipe buffer of output, so the writer is still
+        # printing when the reader goes away
+        rows = tmp_path / "runs.jsonl"
+        rows.write_text("".join(
+            json.dumps({"index": i, "label": f"run {i}", "error": None,
+                        "source": "executed", "elapsed": 0.001}) + "\n"
+            for i in range(5000)))
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "stats", str(rows)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        status = proc.wait(timeout=60)
+        with proc.stderr:
+            stderr = proc.stderr.read().decode()
+        assert first.startswith(b"(no manifest.json")
+        assert status == 1
+        assert "Traceback" not in stderr, stderr
+        assert "BrokenPipeError" not in stderr, stderr
+
+    def test_no_stdout_at_all_is_not_an_error(self, tmp_path, monkeypatch):
+        # fd 1 closed at start (``repro stats ... >&-``) leaves
+        # sys.stdout None, and print() a no-op
+        rows = tmp_path / "runs.jsonl"
+        rows.write_text(json.dumps({"index": 0, "label": "run 0",
+                                    "error": None, "source": "executed",
+                                    "elapsed": 0.001}) + "\n")
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["stats", str(rows)]) == 0
 
 
 class TestReport:

@@ -330,3 +330,30 @@ def test_client_cli_reports_unreachable_server():
 
     assert cli.main(["client", "--server", "http://127.0.0.1:9",
                      "--quick", "--benchmarks", "SQRT32"]) == 2
+
+
+@pytest.mark.parametrize("broken", ["submit", "events", "wait"])
+def test_client_cli_reports_a_dropped_connection(monkeypatch, capsys,
+                                                 broken):
+    """A server that drops the connection mid-job is reported on
+    stderr with exit 2, not taken for a closed stdout."""
+    from repro import cli
+    from repro.serve import ServeClient
+
+    def drop(*args, **kwargs):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def events(self, job_id):       # a generator, as the client's is
+        if broken == "events":
+            drop()
+        yield {"event": "end", "status": "done"}
+
+    monkeypatch.setattr(ServeClient, "healthz", lambda self: {})
+    monkeypatch.setattr(ServeClient, "submit",
+                        lambda self, spec: {"id": "j1", "trace_id": "t"})
+    monkeypatch.setattr(ServeClient, "events", events)
+    if broken != "events":
+        monkeypatch.setattr(ServeClient, broken, drop)
+    assert cli.main(["client", "--server", "http://127.0.0.1:9",
+                     "--quick", "--benchmarks", "SQRT32"]) == 2
+    assert "Broken pipe" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.exec import MemoryCache, SweepExecutor, SweepSpec
 from repro.kernels import WITH_SYNC, WITHOUT_SYNC
 from repro.telemetry import (
@@ -115,6 +116,26 @@ class TestLoadAndSummarize:
         step_cycles = totals["cycles"] - totals["fast_cycles"]
         assert 0 <= step_cycles < totals["cycles"]
         assert f"{step_cycles} step() cycles" in text
+
+
+class TestTraceId:
+    def test_repro_sweep_manifest_carries_its_trace_id(self, tmp_path,
+                                                       monkeypatch, capsys):
+        passed = []
+        real_run = SweepExecutor.run
+
+        def spy(self, requests, **kwargs):
+            passed.append(kwargs.get("trace_id"))
+            return real_run(self, requests, **kwargs)
+
+        monkeypatch.setattr(SweepExecutor, "run", spy)
+        assert main(["sweep", "--quick", "--benchmarks", "SQRT32",
+                     "--designs", "with-sync", "--samples", "8",
+                     "--no-cache", "--manifest", str(tmp_path)]) == 0
+        manifest, _ = load_manifest(tmp_path)
+        (trace_id,) = passed
+        assert trace_id and manifest["trace_id"] == trace_id
+        assert f"trace_id: {trace_id}" in summarize_manifest(tmp_path)
 
 
 class TestMemoryFusionColumns:
