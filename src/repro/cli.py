@@ -41,13 +41,22 @@ from .kernels import (
     BENCHMARKS,
     DESIGNS,
     build_program,
+    check_samples,
     golden_outputs,
     run_benchmark,
 )
 
 
+def _samples(text: str) -> int:
+    """argparse type of ``--samples``: a window the DM banks can hold."""
+    try:
+        return check_samples(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_samples(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--samples", type=int, default=64,
+    parser.add_argument("--samples", type=_samples, default=64,
                         help="ECG samples per channel (default 64)")
 
 
@@ -750,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="designs to sweep (default: with-sync "
                             "without-sync)")
-        q.add_argument("--samples", nargs="+", type=int, default=None,
+        q.add_argument("--samples", nargs="+", type=_samples, default=None,
                        metavar="N",
                        help="per-channel window sizes (default: 64)")
         q.add_argument("--seed", type=int, default=2013,

@@ -3,32 +3,40 @@
 :class:`SweepExecutor` takes an ordered list of
 :class:`~repro.exec.job.RunRequest` and produces one
 :class:`RunOutcome` per request, **in request order**, regardless of how
-the work was scheduled:
+the work was scheduled.  :meth:`SweepExecutor.run` is the one sweep path
+of ``repro sweep`` and of every ``repro serve`` job:
 
-1. every request is content-addressed (:func:`request_digest`) and
-   deduplicated — identical requests simulate once;
-2. digests are looked up in the configured cache (unless ``refresh``);
-3. the misses execute — serially in-process for ``jobs <= 1``, else on a
-   ``ProcessPoolExecutor`` with ``jobs`` workers.  The pool persists
-   across :meth:`SweepExecutor.run` calls, so workers keep their
-   per-process caches of built kernel images and generated inputs warm
-   (on fork start methods they even inherit the parent's warm caches);
-4. failures are isolated: a run that raises (diverging config, deadlock,
+1. every request is content-addressed once (:func:`request_digest`),
+   and each unique digest is claimed in the executor's
+   :class:`~repro.exec.coalescer.InflightCoalescer`: identical requests
+   simulate once, and a digest another concurrent run owns is
+   *followed*, not re-executed;
+2. under the executor's lock, owned digests are looked up in the cache
+   (unless ``refresh``) and the misses execute — serially in-process
+   for ``jobs <= 1``, else on a ``ProcessPoolExecutor`` with ``jobs``
+   workers that persists across calls, so workers keep their caches of
+   built kernel images and generated inputs warm (on fork start
+   methods they even inherit the parent's warm caches);
+3. failures are isolated: a run that raises (diverging config, deadlock,
    cycle-limit, per-run timeout) produces an outcome with ``error`` set
    while the rest of the sweep completes.  Even a worker crash that
    breaks the pool only falls back to in-process execution of the
    remaining runs;
-5. successful results are written back to the cache.
+4. successful results are written back to the cache and the owned
+   claims resolve; then the followed digests are awaited outside the
+   lock, and one whose owner crashed is inherited and executed here.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..kernels import BenchmarkRun
+from .coalescer import InflightCoalescer
 from .job import (
     RunRequest,
     SweepSpec,
@@ -38,6 +46,14 @@ from .job import (
     request_digest,
 )
 from .progress import SweepMetrics, progress_line
+
+#: seconds a follower waits on another run's claim before it reports an
+#: error (a safety valve, not a tuning knob: owners resolve their
+#: claims even when they fail)
+COALESCE_TIMEOUT = 600.0
+
+#: the error an owned claim resolves with when its run landed nothing
+_CRASHED = "in-flight owner failed before producing a result"
 
 
 @dataclass
@@ -60,10 +76,10 @@ class RunOutcome:
     #: ``None`` for executed runs and single-tier caches without names)
     cache_tier: str | None = None
     #: shared a digest with an earlier request in the same sweep and
-    #: rode its simulation (in-sweep dedup)
+    #: copies that slot's result and flags (in-sweep dedup)
     deduped: bool = False
-    #: served by another submission's in-flight run (``repro serve``
-    #: coalescing; never set by :class:`SweepExecutor` itself)
+    #: served by another concurrent run's in-flight claim (the
+    #: executor's coalescer; under ``repro serve``, another job)
     coalesced: bool = False
 
     @property
@@ -148,19 +164,20 @@ def _pool_batch(requests: list, timeout: float | None,
 
 
 @contextmanager
-def _phase(name: str, metrics: SweepMetrics, observer):
-    """Time one executor phase into ``metrics`` in wall and CPU seconds.
+def _phase(name: str, observer, metrics: SweepMetrics | None = None):
+    """Time one stage of a sweep, into ``metrics`` too if given.
 
-    The body fills the yielded dict with the phase's counts; the
-    observer, if any, then gets the phase's epoch-second bounds and
+    The body fills the yielded dict with the stage's counts; the
+    observer, if any, then gets the stage's epoch-second bounds and
     those counts (the service's stage spans).
     """
     info: dict = {}
     started = time.time()
     wall, cpu = time.perf_counter(), time.process_time()
     yield info
-    metrics.note_phase(name, time.perf_counter() - wall,
-                       time.process_time() - cpu)
+    if metrics is not None:
+        metrics.note_phase(name, time.perf_counter() - wall,
+                           time.process_time() - cpu)
     if observer is not None:
         observer.on_phase(name, started, time.time(), **info)
 
@@ -184,7 +201,10 @@ class SweepExecutor:
 
     Every sweep times its digest, cache and execute phases in wall and
     CPU seconds (:attr:`SweepMetrics.phases`, the manifest's ``phases``
-    section).
+    section).  Concurrent :meth:`run` calls on one executor (the
+    service's worker threads) coalesce through its :attr:`coalescer`
+    and take turns at the cache and the pool under one lock; no call
+    waits on a claim while it holds that lock.
     """
 
     def __init__(self, jobs: int = 0, cache=None, *,
@@ -199,6 +219,9 @@ class SweepExecutor:
         self.batch = batch
         self.log = log
         self.last_metrics: SweepMetrics | None = None
+        #: the in-flight claim table every run() call claims against
+        self.coalescer = InflightCoalescer()
+        self._lock = threading.Lock()
         self._pool: ProcessPoolExecutor | None = None
 
     # -- lifecycle -------------------------------------------------------
@@ -229,8 +252,7 @@ class SweepExecutor:
         return tier
 
     def run(self, requests, manifest=None, observer=None,
-            trace_id: str | None = None,
-            digests=None) -> list[RunOutcome]:
+            trace_id: str | None = None) -> list[RunOutcome]:
         """Execute a :class:`SweepSpec` or request sequence.
 
         :param trace_id: optional trace identifier stamped on the
@@ -240,81 +262,143 @@ class SweepExecutor:
         :param manifest: optional
             :class:`~repro.telemetry.manifest.SweepManifestWriter`; each
             outcome is appended to its run log as it lands (cache hits
-            included) and the manifest is finalized when the sweep ends.
+            and followers included) and the manifest is finalized when
+            the sweep ends.
         :param observer: optional observability hook — duck-typed with
-            ``on_phase(name, started, ended, **info)`` called after each
-            timed phase (epoch-second boundaries) and
-            ``on_outcome(outcome)`` called per outcome as it lands.  The
-            service uses this to grow the request's span tree; observer
-            errors are the caller's problem by design.
-        :param digests: the requests' :func:`request_digest` values, in
-            order, when the caller has computed them already (the
-            service does); ``None`` computes them here.
+            ``context`` (the trace identity followers of this run's
+            claims link to), ``on_phase(name, started, ended, **info)``
+            called after each stage (``digest``, ``claim``, ``lock``,
+            ``cache``, ``execute``, ``wait`` per followed digest,
+            ``manifest``) and ``on_outcome(outcome)`` per outcome as it
+            lands.  The service grows the request's span tree with it.
         :returns: outcomes in request order (deterministic regardless of
             worker completion order).
         """
         spec = requests if isinstance(requests, SweepSpec) else None
-        if isinstance(requests, SweepSpec):
-            requests = requests.requests
-        requests = list(requests)
+        requests = list(requests if spec is None else spec.requests)
         metrics = SweepMetrics(total=len(requests))
         self.last_metrics = metrics
-
-        if digests is None:
-            with _phase("digest", metrics, observer):
-                digests = [request_digest(request) for request in requests]
-        elif len(digests) != len(requests):
-            raise ValueError(f"{len(digests)} digests for "
-                             f"{len(requests)} requests")
+        with _phase("digest", observer, metrics):
+            digests = [request_digest(request) for request in requests]
+        slots: dict[str, list[int]] = {}     # digest -> its request slots
+        for index, digest in enumerate(digests):
+            slots.setdefault(digest, []).append(index)
         outcomes: list[RunOutcome | None] = [None] * len(requests)
+        landed: dict[str, tuple[dict | None, str | None]] = {}
 
-        def land(outcome: RunOutcome) -> None:
-            outcomes[outcome.index] = outcome
-            metrics.note(outcome)
+        def land(digest: str, payload=None, error=None, **flags) -> None:
+            """Land every slot of ``digest``: later slots copy the first
+            slot's result and flags and add ``deduped``."""
+            landed[digest] = payload, error
+            for position, index in enumerate(slots[digest]):
+                outcome = RunOutcome(index, requests[index], digest,
+                                     payload=payload, error=error,
+                                     deduped=position > 0, **flags)
+                outcomes[index] = outcome
+                metrics.note(outcome)
+                if manifest is not None:
+                    manifest.note_outcome(outcome)
+                if observer is not None:
+                    observer.on_outcome(outcome)
+                if self.log:
+                    self.log(progress_line(outcome, metrics.completed,
+                                           metrics.total,
+                                           hit_rate=metrics.hit_rate))
+
+        def own(owned: list[str]) -> None:
+            """Look up, then execute, owned digests under the lock (a
+            digest's first slot alone carries its execution time)."""
+            try:
+                with _phase("lock", observer):
+                    self._lock.acquire()
+                lookup = self.cache is not None and not self.refresh
+                with _phase("cache", observer, metrics) as info:
+                    misses = []
+                    for digest in owned:
+                        payload = self.cache.get(digest) if lookup else None
+                        if payload is None:
+                            misses.append(digest)
+                        else:
+                            land(digest, payload, cached=True,
+                                 cache_tier=self._hit_tier())
+                    info.update(hits=len(owned) - len(misses),
+                                misses=len(misses))
+                unique = [(digest, requests[slots[digest][0]])
+                          for digest in misses]
+                with _phase("execute", observer, metrics) as info:
+                    for digest, payload, error in self._execute(unique,
+                                                                trace_id):
+                        land(digest, payload, error)
+                        if error is None and self.cache is not None:
+                            self.cache.put(digest, payload)
+                    info.update(executed=len(unique))
+            finally:
+                self._lock.release()
+
+        def resolve(owned) -> None:
+            """Publish each owned digest's result; crashed if none landed."""
+            for digest in owned:
+                payload, error = landed.get(digest, (None, _CRASHED))
+                self.coalescer.resolve(digest, payload, error,
+                                       crashed=digest not in landed)
+
+        context = getattr(observer, "context", None)
+        claims: dict = {}
+        try:
+            with _phase("claim", observer) as info:
+                for digest in slots:
+                    claims[digest] = self.coalescer.claim(digest,
+                                                          trace=context)
+                owned = [digest for digest, (_, mine) in claims.items()
+                         if mine]
+                info.update(unique=len(claims), owned=len(owned),
+                            followed=len(claims) - len(owned))
+            if owned:
+                own(owned)
+        finally:
+            resolve([digest for digest, (_, mine) in claims.items() if mine])
+        followed = {}
+        for digest, (claim, mine) in claims.items():
+            if mine:
+                continue
+            result = self._await_owner(digest, claim, context, observer)
+            if result is not None:
+                followed[digest] = result
+                continue
+            try:                        # inherited from a crashed owner
+                own([digest])
+            finally:
+                resolve([digest])
+
+        with _phase("manifest", observer):
+            for digest, (payload, error) in followed.items():
+                land(digest, payload, error, coalesced=True)
+            metrics.finish()
             if manifest is not None:
-                manifest.note_outcome(outcome)
-            if observer is not None:
-                observer.on_outcome(outcome)
-            if self.log:
-                self.log(progress_line(outcome, metrics.completed,
-                                       metrics.total,
-                                       hit_rate=metrics.hit_rate))
+                manifest.finalize(metrics=metrics, cache=self.cache,
+                                  spec=spec, trace_id=trace_id)
+        return outcomes
 
-        # cache phase — identical digests collapse onto one slot
-        pending: dict[str, list[int]] = {}
-        with _phase("cache", metrics, observer) as info:
-            for index, (request, digest) in enumerate(zip(requests,
-                                                          digests)):
-                payload = None
-                if self.cache is not None and not self.refresh:
-                    payload = self.cache.get(digest)
-                if payload is not None:
-                    land(RunOutcome(index, request, digest, payload=payload,
-                                    cached=True,
-                                    cache_tier=self._hit_tier()))
-                else:
-                    pending.setdefault(digest, []).append(index)
-            info.update(hits=metrics.completed, misses=len(pending))
+    def _await_owner(self, digest: str, claim, context, observer):
+        """Wait for the result another run owns for ``digest``.
 
-        # execute phase — duplicates share the payload, and only the
-        # first carries the execution time (RunOutcome.elapsed)
-        unique = [(digest, requests[indices[0]])
-                  for digest, indices in pending.items()]
-        with _phase("execute", metrics, observer) as info:
-            for digest, payload, error in self._execute(unique, trace_id):
-                for position, index in enumerate(pending[digest]):
-                    land(RunOutcome(index, requests[index], digest,
-                                    payload=payload, error=error,
-                                    deduped=position > 0))
-                if error is None and self.cache is not None:
-                    self.cache.put(digest, payload)
-            info.update(executed=len(unique))
-
-        metrics.finish()
-        if manifest is not None:
-            manifest.finalize(metrics=metrics, cache=self.cache, spec=spec,
-                              trace_id=trace_id)
-        return [outcome for outcome in outcomes if outcome is not None]
+        Returns the owner's ``(payload, error)``, or ``None`` when the
+        owner crashed without a result and this run inherited the
+        digest, which the caller then executes.  A crashed claim that
+        another follower inherited is waited on in turn.
+        """
+        with _phase("wait", observer) as info:
+            info.update(digest=digest, owner=claim.owner_trace)
+            while True:
+                payload, error = claim.wait(COALESCE_TIMEOUT)
+                if not claim.crashed:
+                    info["outcome"] = "error" if error else "ok"
+                    return payload, error
+                claim, inherited = self.coalescer.inherit(claim,
+                                                          trace=context)
+                if inherited:
+                    info["outcome"] = "handoff"
+                    return None
 
     def _coalesce(self, unique):
         """Partition unique pending runs into singles and batch groups.

@@ -7,8 +7,8 @@ simulation pool:
 
 - :mod:`repro.serve.http` — minimal asyncio HTTP/1.1 layer (no
   framework; stdlib only).
-- :mod:`repro.serve.coalescer` — cross-submission in-flight coalescing
-  on :func:`~repro.exec.job.request_digest`.
+- :mod:`repro.serve.coalescer` — re-exports the executor's in-flight
+  coalescer (:mod:`repro.exec.coalescer`).
 - :mod:`repro.serve.app` — :class:`SweepService`: job table, worker
   threads, the shared :class:`~repro.exec.cache.TieredCache`.
 - :mod:`repro.serve.routes` — the ``/v1`` endpoint handlers.

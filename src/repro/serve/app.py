@@ -2,22 +2,15 @@
 
 :class:`SweepService` is the long-lived object behind ``repro serve``.
 It owns one :class:`~repro.exec.scheduler.SweepExecutor` (process pool,
-result cache, array-of-machines batching), a job table, and the
-cross-submission :class:`~repro.serve.coalescer.InflightCoalescer`.
-Each submitted :class:`~repro.exec.job.SweepSpec` becomes a
-:class:`Job` executed on a worker thread:
-
-1. every request is content-addressed with
-   :func:`~repro.exec.job.request_digest`;
-2. each unique digest is claimed in the coalescer — digests another
-   job is already simulating are *followed*, not re-executed;
-3. the owned remainder runs through the shared executor (which applies
-   its own cache lookup, in-sweep dedup and batch coalescing);
-4. outcomes stream into the job's manifest directory
-   (``runs.jsonl`` + ``manifest.json``, the same artifacts
-   ``repro sweep`` writes), which also backs the
-   ``GET /v1/sweeps/{id}/events`` stream: the job wakes its open
-   streams whenever a row lands and when it ends.
+result cache, batching, and the in-flight coalescer every job claims
+against) and a job table.  Each submitted
+:class:`~repro.exec.job.SweepSpec` becomes a :class:`Job`, executed on a
+worker thread as one :meth:`SweepExecutor.run
+<repro.exec.scheduler.SweepExecutor.run>` call that streams its rows
+into the job's manifest directory (``runs.jsonl`` + ``manifest.json``,
+as ``repro sweep`` writes them).  The job's observer turns the
+executor's callbacks into spans and log events and wakes the job's
+``GET /v1/sweeps/{id}/events`` streams as each row lands.
 
 The job table keeps queued and running jobs plus the most recent
 :data:`RETAINED_TERMINAL_JOBS` terminal ones.  A terminal job leaves
@@ -39,8 +32,6 @@ import time
 import uuid
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 from .. import __version__
@@ -50,7 +41,6 @@ from ..exec import (
     SweepExecutor,
     SweepSpec,
     TieredCache,
-    request_digest,
 )
 from ..exec.progress import SweepMetrics
 from ..exec.scheduler import RunOutcome
@@ -60,7 +50,6 @@ from ..obs.instruments import ServiceInstruments
 from ..obs.log import emit
 from ..obs.spans import SpanRecorder
 from ..telemetry import MetricsRegistry, SweepManifestWriter
-from .coalescer import InflightCoalescer
 
 #: job lifecycle states
 QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
@@ -145,13 +134,6 @@ class Job:
             except RuntimeError:        # that stream's loop has closed
                 pass
 
-    def note_row(self, writer: SweepManifestWriter,
-                 outcome: RunOutcome) -> None:
-        """Append one ``runs.jsonl`` row and wake the job's streams."""
-        writer.note_outcome(outcome)
-        self.completed += 1
-        self.wake()
-
     def trace_document(self) -> dict:
         """The ``GET /v1/sweeps/{id}/trace`` document."""
         return self.recorder.to_perfetto(
@@ -230,72 +212,78 @@ class StoredJob:
         pass
 
 
-class _ManifestProxy:
-    """Adapter the shared executor streams owned-run rows through.
-
-    The executor numbers outcomes within the subset it was handed; the
-    proxy gives each outcome its job-level index (the first request
-    with its digest) before the row reaches the job's
-    :class:`~repro.telemetry.manifest.SweepManifestWriter`.  It keeps
-    the remapped outcome in ``executed`` and, of ``finalize``, only the
-    run's phase timings, which add up in the job's metrics: the
-    service finalizes once the coalesced and duplicate rows are in too.
-    """
-
-    def __init__(self, job: Job, writer: SweepManifestWriter,
-                 first_index: dict[str, int], metrics: SweepMetrics):
-        self._job = job
-        self._writer = writer
-        self._first_index = first_index
-        self._metrics = metrics
-        self.executed: dict[str, RunOutcome] = {}
-
-    def note_outcome(self, outcome) -> None:
-        remapped = replace(outcome, index=self._first_index[outcome.digest])
-        self.executed[outcome.digest] = remapped
-        self._job.note_row(self._writer, remapped)
-
-    def finalize(self, *, metrics, **_) -> None:
-        for name, timing in metrics.phases.items():
-            self._metrics.note_phase(name, **timing)
+#: executor stage -> (span name, span stage, log event or ``None``)
+_STAGES = {
+    "digest": ("digest", "digest", None),
+    "claim": ("coalesce claim", "coalesce", "coalesce.claim"),
+    "lock": ("exec-lock wait", "lock", None),
+    "cache": ("cache-tier lookup", "cache", "exec.cache"),
+    "execute": ("execute", "execute", "exec.execute"),
+    "manifest": ("manifest", "manifest", None),
+}
 
 
 class _ExecObserver:
-    """Executor callbacks → spans and structured log events.
+    """Executor callbacks → spans, structured log events, stream wakes.
 
-    One instance per job hands the executor's phase boundaries and
-    per-outcome notifications to the job's span recorder: the
-    cache-tier lookup and execute phases become stage spans, every
-    outcome becomes a ``run`` span carrying digest / provenance /
-    cache-tier args.
+    One per job.  Each executor stage becomes a stage span under the
+    job span (:data:`_STAGES`; a followed digest's wait becomes
+    ``coalesce wait <digest>``, span-linked to the owner), and each
+    outcome a ``run`` span; the outcome's row is in ``runs.jsonl`` by
+    then, so it also wakes the job's events streams.
     """
 
-    def __init__(self, job: Job, parent: TraceContext):
+    def __init__(self, job: Job):
         self._job = job
-        self._parent = parent
+        #: parent of every stage span; followers of this job's claims
+        #: link to it
+        self.context = job.span.context
 
     def on_phase(self, name: str, started: float, ended: float,
                  **info) -> None:
-        label = "cache-tier lookup" if name == "cache" else name
-        self._job.recorder.record(label, name, self._parent,
-                                  started, ended, args=info)
-        emit(f"exec.{name}", trace_id=self._job.trace_id,
-             job_id=self._job.id, **info)
+        job = self._job
+        if name == "wait":
+            self._on_wait(started, ended, **info)
+            return
+        label, stage, event = _STAGES[name]
+        job.recorder.record(label, stage, self.context, started, ended,
+                            args=info)
+        if event is not None:
+            emit(event, trace_id=job.trace_id, job_id=job.id, **info)
+
+    def _on_wait(self, started: float, ended: float, *, digest: str,
+                 owner, outcome: str) -> None:
+        job, digest = self._job, digest[:12]
+        owner_trace_id = getattr(owner, "trace_id", None)
+        links = ([{"trace_id": owner_trace_id, "span_id": owner.span_id}]
+                 if owner_trace_id not in (None, job.trace_id) else [])
+        job.recorder.record(f"coalesce wait {digest}", "coalesce",
+                            self.context, started, ended,
+                            args={"digest": digest, "outcome": outcome},
+                            links=links)
+        handoff = outcome == "handoff"
+        emit("coalesce.handoff" if handoff else "coalesce.follow",
+             level=logging.WARNING if handoff else logging.INFO,
+             trace_id=job.trace_id, job_id=job.id, digest=digest,
+             ok=None if handoff else outcome == "ok",
+             owner_trace_id=owner_trace_id)
 
     def on_outcome(self, outcome) -> None:
+        job = self._job
         end = time.time()
         start = end - max(outcome.elapsed, 0.0)
         args = {"digest": outcome.digest[:12], "source": outcome.source}
         tier = outcome.cache_tier
         if tier is not None:
             args["cache_tier"] = tier
-        self._job.recorder.record(f"run {outcome.request.label}", "run",
-                                  self._parent, start, end, args=args)
-        emit("run.outcome", trace_id=self._job.trace_id,
-             job_id=self._job.id, label=outcome.request.label,
-             digest=outcome.digest[:12], source=args["source"],
-             cache_tier=tier, error=outcome.error,
+        job.recorder.record(f"run {outcome.request.label}", "run",
+                            self.context, start, end, args=args)
+        emit("run.outcome", trace_id=job.trace_id, job_id=job.id,
+             label=outcome.request.label, digest=outcome.digest[:12],
+             source=args["source"], cache_tier=tier, error=outcome.error,
              elapsed=round(outcome.elapsed, 4))
+        job.completed += 1
+        job.wake()
 
 
 def default_service_cache(cache_dir=None, *, remote=None) -> TieredCache:
@@ -314,20 +302,17 @@ class SweepService:
     :param jobs: executor worker processes (``0`` = in-process serial).
     :param concurrency: worker *threads* driving sweeps; at least 2 so
         concurrent submissions can coalesce instead of queueing.
-    :param coalesce_timeout: seconds a follower waits on an in-flight
-        owner before reporting an error (safety valve, not a tuning
-        knob — owners resolve their claims even when they fail).
     """
 
     def __init__(self, *, cache=None, state_dir="serve-state", jobs: int = 0,
                  batch: bool = True, timeout: float | None = None,
-                 concurrency: int = 2, coalesce_timeout: float = 600.0):
+                 concurrency: int = 2):
         self.cache = cache if cache is not None else default_service_cache()
         self.state_dir = Path(state_dir)
         self.executor = SweepExecutor(jobs=jobs, cache=self.cache,
                                       timeout=timeout, batch=batch)
-        self.coalesce_timeout = coalesce_timeout
-        self.coalescer = InflightCoalescer()
+        #: the executor's claim table, which every job claims against
+        self.coalescer = self.executor.coalescer
         #: queued and running jobs plus the retained terminal ones
         self.jobs: dict[str, Job] = {}
         #: ids of the persisted terminal jobs in ``jobs``, oldest first
@@ -338,7 +323,6 @@ class SweepService:
         self.started_at = time.time()
         self._monotonic_start = time.monotonic()
         self._lock = threading.Lock()
-        self._exec_lock = threading.Lock()
         self._pool = ThreadPoolExecutor(
             max_workers=max(2, concurrency),
             thread_name_prefix="repro-serve")
@@ -492,122 +476,24 @@ class SweepService:
             while len(self._retained) > RETAINED_TERMINAL_JOBS:
                 del self.jobs[self._retained.popleft()]
 
-    @contextmanager
-    def _exec_slot(self, job: Job):
-        """Hold the executor lock; the wait for it is a ``lock`` span."""
-        with job.recorder.span("exec-lock wait", "lock",
-                               parent=job.span.context):
-            self._exec_lock.acquire()
-        try:
-            yield
-        finally:
-            self._exec_lock.release()
-
     def _execute_job(self, job: Job) -> None:
         self._set_status(job, RUNNING)
         job.started = time.time()
-        jctx = job.span.context
-        recorder = job.recorder
         emit("job.start", trace_id=job.trace_id, job_id=job.id,
              runs=len(job.spec))
-        requests = list(job.spec.requests)
-        with recorder.span("digest", "digest", parent=jctx):
-            digests = [request_digest(request) for request in requests]
+        with job.recorder.span("manifest", "manifest",
+                               parent=job.span.context):
             writer = SweepManifestWriter(job.directory, name=job.spec.name)
         try:
-            self._execute_sweep(job, requests, digests, writer)
+            outcomes = self.executor.run(job.spec, manifest=writer,
+                                         observer=_ExecObserver(job),
+                                         trace_id=job.trace_id)
         finally:
             # finalize closes runs.jsonl; a job that fails before it
             # must not leave the file open either
             writer.close()
-
-    def _execute_sweep(self, job: Job, requests: list, digests: list,
-                       writer: SweepManifestWriter) -> None:
-        jctx = job.span.context
-        recorder = job.recorder
-        metrics = SweepMetrics(total=len(job.spec))
-        observer = _ExecObserver(job, jctx)
-
-        # claim each unique digest once, preserving first-seen order
-        claims = {}
-        owned_here = {}
-        first_index = {}
-        with recorder.span("coalesce claim", "coalesce",
-                           parent=jctx) as claim_span:
-            for index, digest in enumerate(digests):
-                if digest not in claims:
-                    claims[digest], owned_here[digest] = \
-                        self.coalescer.claim(digest, trace=jctx)
-                    first_index[digest] = index
-            owned = [digest for digest in claims if owned_here[digest]]
-            claim_span.args.update(unique=len(claims), owned=len(owned),
-                                   followed=len(claims) - len(owned))
-        emit("coalesce.claim", trace_id=job.trace_id, job_id=job.id,
-             unique=len(claims), owned=len(owned),
-             followed=len(claims) - len(owned))
-
-        proxy = _ManifestProxy(job, writer, first_index, metrics)
-        executed = proxy.executed
-        try:
-            if owned:
-                with self._exec_slot(job):
-                    self.executor.run(
-                        [requests[first_index[d]] for d in owned],
-                        manifest=proxy, observer=observer,
-                        trace_id=job.trace_id, digests=owned)
-        finally:
-            # resolve every owned claim, crash or not — followers must
-            # receive *something*.  A claim with no outcome means this
-            # owner died mid-run: mark it crashed so the first follower
-            # inherits the digest instead of surfacing the error.
-            for digest in owned:
-                outcome = executed.get(digest)
-                if outcome is not None:
-                    self.coalescer.resolve(digest, outcome.payload,
-                                           outcome.error)
-                else:
-                    self.coalescer.resolve(
-                        digest, None,
-                        "in-flight owner failed before producing a result",
-                        crashed=True)
-
-        # join the digests another submission owns
-        followed: dict[str, tuple[dict | None, str | None]] = {}
-        for digest, claim in claims.items():
-            if owned_here[digest]:
-                continue
-            result = self._follow(job, claim, digest,
-                                  requests[first_index[digest]], proxy,
-                                  observer)
-            if result is not None:
-                followed[digest] = result
-
-        # assemble outcomes in request order; stream the rows the
-        # executor did not write (followers + in-job duplicates)
-        outcomes: list[RunOutcome] = []
-        with recorder.span("manifest", "manifest", parent=jctx):
-            for index, (request, digest) in enumerate(zip(requests,
-                                                          digests)):
-                first = index == first_index[digest]
-                outcome = executed.get(digest)
-                if outcome is None:
-                    payload, error = followed[digest]
-                    outcome = RunOutcome(index, request, digest,
-                                         payload=payload, error=error,
-                                         coalesced=True, deduped=not first)
-                    job.note_row(writer, outcome)
-                elif not first:
-                    outcome = replace(outcome, index=index, deduped=True)
-                    job.note_row(writer, outcome)
-                outcomes.append(outcome)
-                metrics.note(outcome)
-
-            metrics.finish()
-            writer.finalize(metrics=metrics, cache=self.cache,
-                            spec=job.spec, trace_id=job.trace_id)
-        job.metrics = metrics
+        job.metrics = writer.metrics
         job.outcomes = outcomes
-        job.completed = len(outcomes)
         with self._lock:
             # each run counts once, under its source
             totals = self._runs_total
@@ -620,61 +506,6 @@ class SweepService:
                     refused = self._batch_refused
                     refused[reason] = refused.get(reason, 0) + 1
         self._finish(job, DONE)
-
-    def _follow(self, job: Job, claim, digest: str, request,
-                proxy: _ManifestProxy, observer
-                ) -> tuple[dict | None, str | None] | None:
-        """Wait on another submission's in-flight run for ``digest``.
-
-        Normally returns the owner's ``(payload, error)``.  When the
-        owner *crashed* (resolved without a result), the first follower
-        to inherit the digest takes ownership — it executes the run
-        itself (streamed through ``proxy``, which records it in
-        ``proxy.executed``) and returns ``None``; later followers wait
-        on the inherited claim as usual.  The handoff span-link and log
-        line are emitted exactly once, by the inheriting follower.
-        """
-        recorder = job.recorder
-        jctx = job.span.context
-        span = recorder.begin(f"coalesce wait {digest[:12]}", "coalesce",
-                              parent=jctx, digest=digest[:12])
-        owner = claim.owner_trace
-        if owner is not None and owner.trace_id != job.trace_id:
-            span.links.append({"trace_id": owner.trace_id,
-                               "span_id": owner.span_id})
-        payload, error = claim.wait(self.coalesce_timeout)
-        if not claim.crashed:
-            recorder.finish(span, outcome="error" if error else "ok")
-            emit("coalesce.follow", trace_id=job.trace_id, job_id=job.id,
-                 digest=digest[:12], ok=error is None,
-                 owner_trace_id=owner.trace_id if owner else None)
-            return payload, error
-
-        # the owner died without a result — exactly one follower
-        # inherits the digest (decided on the crashed claim itself)
-        takeover, inherited = self.coalescer.inherit(claim, trace=jctx)
-        if not inherited:
-            # another claimant owns the successor; wait on its claim
-            recorder.finish(span, outcome="handoff-followed")
-            return takeover.wait(self.coalesce_timeout)
-        recorder.finish(span, outcome="handoff")
-        emit("coalesce.handoff", level=logging.WARNING,
-             trace_id=job.trace_id, job_id=job.id, digest=digest[:12],
-             owner_trace_id=owner.trace_id if owner else None)
-        try:
-            with self._exec_slot(job):
-                self.executor.run([request], manifest=proxy,
-                                  observer=observer, trace_id=job.trace_id,
-                                  digests=[digest])
-        finally:
-            outcome = proxy.executed.get(digest)
-            self.coalescer.resolve(
-                digest,
-                outcome.payload if outcome is not None else None,
-                outcome.error if outcome is not None
-                else "handoff execution failed before producing a result",
-                crashed=outcome is None)
-        return None
 
     # -- observability ---------------------------------------------------
 

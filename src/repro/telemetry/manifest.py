@@ -144,6 +144,9 @@ class SweepManifestWriter:
         self.manifest_path = self.directory / "manifest.json"
         self._rows = 0
         self._handle = open(self.runs_path, "w", encoding="utf-8")
+        #: the :class:`~repro.exec.progress.SweepMetrics` the manifest
+        #: was finalized with (``None`` until then)
+        self.metrics = None
 
     def note_outcome(self, outcome) -> dict:
         """Append one outcome row (flushed immediately); returns the row."""
@@ -164,6 +167,7 @@ class SweepManifestWriter:
             its span tree and log lines.
         """
         self.close()
+        self.metrics = metrics
         rows = _read_jsonl(self.runs_path)
         telemetry = [row["telemetry"] for row in rows if row.get("telemetry")]
         tiers: dict[str, int] = {}

@@ -67,11 +67,35 @@ class TestInstrumentedCommands:
 
     @pytest.mark.parametrize("command", [["syncstats"],
                                          ["synclint", "--crosscheck"]])
-    def test_window_past_the_bank_layout_is_rejected(self, command):
-        # 400 samples overrun the per-bank buffers (384 at most), as
-        # `repro run` already says
-        with pytest.raises(ValueError, match="sample count 400 outside"):
+    def test_window_past_the_bank_layout_is_rejected(self, command, capsys):
+        # 400 samples overrun the per-bank buffers (384 at most): a
+        # usage error, as for every --samples option
+        with pytest.raises(SystemExit) as exit_info:
             main([*command, "MRPDLN", "--samples", "400"])
+        assert exit_info.value.code == 2
+        assert "sample count 400 outside" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["syncstats", "MRPDLN", "--samples", "400"],
+    ["speedup", "--samples", "400"],
+    ["sweep", "--no-cache", "--no-manifest", "--samples", "0"],
+    ["client", "--samples", "8", "385"],
+    ["run", "SQRT32", "--samples", "many"],
+])
+def test_samples_outside_the_layout_are_a_usage_error(argv, capsys):
+    """Every --samples option rejects a window the per-bank buffers
+    cannot hold before any work starts: exit 2, one error line after
+    the usage text, no traceback."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert [line for line in lines if "error:" in line] == lines[-1:]
+    assert "argument --samples:" in lines[-1]
+    assert "Traceback" not in captured.err
 
 
 class TestClosedPipe:

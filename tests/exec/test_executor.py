@@ -1,5 +1,8 @@
 """Scheduler: parallel == serial bit-identity, caching, crash isolation."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.exec import (
@@ -8,6 +11,7 @@ from repro.exec import (
     RunRequest,
     SweepExecutor,
     SweepSpec,
+    request_digest,
 )
 from repro.kernels import WITH_SYNC, WITHOUT_SYNC
 
@@ -158,5 +162,52 @@ def test_duplicate_outcomes_are_flagged_deduped():
         outcomes = executor.run([request, request, request])
     assert [o.deduped for o in outcomes] == [False, True, True]
     assert executor.last_metrics.dedup_hits == 2
-    # the executor never coalesces across submissions itself
+    # a lone run follows no other run's claim
     assert all(not o.coalesced for o in outcomes)
+
+
+def test_concurrent_runs_simulate_each_digest_once():
+    """Six threads, more than the cores, run overlapping sweeps on one
+    executor under a short switch interval: every digest simulates
+    once, every run gets all of its outcomes, and no claim is left in
+    flight."""
+    requests = [RunRequest("SQRT32", WITH_SYNC, seed=seed, **SMALL)
+                for seed in range(31, 35)]
+    executed, errors, results = [], [], {}
+    with SweepExecutor(jobs=0, cache=MemoryCache()) as executor:
+        real_execute = executor._execute
+
+        def counting_execute(unique, trace_id=None):
+            executed.extend(digest for digest, _ in unique)
+            yield from real_execute(unique, trace_id)
+
+        executor._execute = counting_execute
+
+        def sweep(worker):
+            shift = worker % len(requests)
+            order = requests[shift:] + requests[:shift]
+            try:
+                results[worker] = executor.run(order + order[:1])
+            except Exception as exc:   # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=sweep, args=(worker,))
+                   for worker in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert sorted(executed) == sorted(map(request_digest, requests))
+    assert len(results) == len(threads)
+    for outcomes in results.values():
+        assert [o.index for o in outcomes] == list(range(5))
+        assert all(o.ok and o.golden_match for o in outcomes)
+        assert outcomes[-1].deduped
+    assert executor.coalescer.as_dict()["inflight"] == 0

@@ -17,7 +17,6 @@ import json
 import sys
 import threading
 import time
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -155,21 +154,15 @@ class TestPushedStream:
         service = SweepService(cache=MemoryCache(),
                                state_dir=tmp_path / "state")
         gate = threading.Semaphore(0)
-        real_run = service.executor.run
+        real_execute = service.executor._execute
 
-        def gated_run(requests, manifest=None, observer=None,
-                      trace_id=None, digests=None):
+        def gated_execute(unique, trace_id=None):
             """One run per gate release, each row streamed as it lands."""
-            outcomes = []
-            for index, request in enumerate(requests):
+            for pending in unique:
                 assert gate.acquire(timeout=30)
-                (outcome,) = real_run([request], observer=observer,
-                                      trace_id=trace_id)
-                outcomes.append(replace(outcome, index=index))
-                manifest.note_outcome(outcomes[-1])
-            return outcomes
+                yield from real_execute([pending], trace_id)
 
-        service.executor.run = gated_run
+        service.executor._execute = gated_execute
         spec = SweepSpec("gated", tuple(
             RunRequest("SQRT32", WITH_SYNC, seed=1900 + i, **SMALL)
             for i in range(8)))

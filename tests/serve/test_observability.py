@@ -285,19 +285,16 @@ class TestBatchRefusedCounter:
         service = SweepService(cache=MemoryCache(),
                                state_dir=tmp_path / "state",
                                concurrency=4)
-        real_run = service.executor.run
+        real_execute = service.executor._execute
 
-        def marking_run(requests, manifest=None, observer=None,
-                        trace_id=None, digests=None):
-            outcomes = real_run(requests, manifest=manifest,
-                                observer=observer, trace_id=trace_id,
-                                digests=digests)
-            executed = [o for o in outcomes
-                        if not (o.cached or o.deduped or o.coalesced)]
-            executed[0].payload["batch_refused"] = "irq"
-            return outcomes
+        def marking_execute(unique, trace_id=None):
+            for position, (digest, payload, error) in enumerate(
+                    real_execute(unique, trace_id)):
+                if position == 0:
+                    payload["batch_refused"] = "irq"
+                yield digest, payload, error
 
-        service.executor.run = marking_run
+        service.executor._execute = marking_execute
         with service:
             job = service.submit(spec_for(9601))
             wait_for(lambda: job.status == "done",
@@ -364,23 +361,20 @@ class TestCrashHandoff:
         service = SweepService(cache=MemoryCache(),
                                state_dir=tmp_path / "state",
                                concurrency=4)
-        real_run = service.executor.run
+        real_execute = service.executor._execute
         state = SimpleNamespace(crashes_left=1,
                                 follower_claimed=threading.Event())
 
-        def flaky_run(requests, manifest=None, observer=None,
-                      trace_id=None, digests=None):
+        def flaky_execute(unique, trace_id=None):
             if state.crashes_left > 0:
                 state.crashes_left -= 1
                 # die only once a follower is waiting on the claim, so
                 # the handoff path (not a fresh claim) is exercised
                 assert state.follower_claimed.wait(30.0)
                 raise RuntimeError("owner died mid-run")
-            return real_run(requests, manifest=manifest,
-                            observer=observer, trace_id=trace_id,
-                            digests=digests)
+            return real_execute(unique, trace_id)
 
-        service.executor.run = flaky_run
+        service.executor._execute = flaky_execute
         with service:
             yield SimpleNamespace(service=service, state=state)
 

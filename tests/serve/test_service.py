@@ -20,8 +20,11 @@ from repro.exec import (
     WIRE_SCHEMA,
     payload_to_wire,
     request_digest,
+    request_from_wire,
+    request_to_wire,
 )
 from repro.kernels import WITH_SYNC, WITHOUT_SYNC
+from repro.platform import PlatformConfig, SyncPolicy
 from repro.serve import (
     ServeClient,
     ServiceError,
@@ -191,16 +194,16 @@ class TestServedTally:
                                                               tmp_path):
         """A follower job of two identical requests: both rows read
         ``coalesced``, and the service's run counters say so.  The
-        follower never calls the executor, so its manifest has no phase
-        timings, while the owner's has ``cache`` and ``execute``."""
+        follower owns nothing, so its manifest times only the digest
+        phase, while the owner's also has ``cache`` and ``execute``."""
         request = RunRequest("SQRT32", WITH_SYNC, seed=608, **SMALL)
         service = SweepService(cache=MemoryCache(),
                                state_dir=tmp_path / "state", concurrency=4)
-        real_run, gate = service.executor.run, threading.Event()
+        real_execute, gate = service.executor._execute, threading.Event()
 
-        def gated_run(*args, **kwargs):
+        def gated_execute(*args, **kwargs):
             assert gate.wait(30.0)
-            return real_run(*args, **kwargs)
+            yield from real_execute(*args, **kwargs)
 
         def wait_until(predicate):
             deadline = time.time() + 60
@@ -208,7 +211,7 @@ class TestServedTally:
                 assert time.time() < deadline
                 time.sleep(0.01)
 
-        service.executor.run = gated_run
+        service.executor._execute = gated_execute
         with service:
             owner = service.submit(SweepSpec("owner", (request,)))
             wait_until(lambda: service.coalescer.as_dict()["owned"] == 1)
@@ -226,8 +229,88 @@ class TestServedTally:
         phases = {job.spec.name: json.loads(
             (job.directory / "manifest.json").read_text())["phases"]
             for job in (owner, follower)}
-        assert set(phases["owner"]) == {"cache", "execute"}
-        assert phases["follower"] == {}
+        assert set(phases["owner"]) == {"digest", "cache", "execute"}
+        assert set(phases["follower"]) == {"digest"}
+
+
+class OwnedLock:
+    """The executor's lock, knowing which thread holds it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.owner = None
+
+    def acquire(self) -> bool:
+        self._lock.acquire()
+        self.owner = threading.get_ident()
+        return True
+
+    def release(self) -> None:
+        self.owner = None
+        self._lock.release()
+
+
+class TestCrossedClaims:
+    def test_crossed_jobs_each_own_one_digest_and_finish(self, tmp_path,
+                                                         monkeypatch):
+        """Jobs A = (x, y) and B = (y, x): a gate holds each job after
+        each claim until the other made its own, so each owns one
+        digest the other follows.  Both finish, each digest simulates
+        once, and no thread waits on a claim while it holds the
+        executor's lock."""
+        from repro.exec.coalescer import Claim
+
+        x, y = (RunRequest("SQRT32", WITH_SYNC, seed=seed, **SMALL)
+                for seed in (611, 612))
+        service = SweepService(cache=MemoryCache(),
+                               state_dir=tmp_path / "state", concurrency=2)
+        executor = service.executor
+        executor._lock = lock = OwnedLock()
+        gate = threading.Barrier(2, timeout=30.0)
+        real_claim = executor.coalescer.claim
+
+        def gated_claim(digest, *, trace=None):
+            result = real_claim(digest, trace=trace)
+            gate.wait()
+            return result
+
+        waits_under_lock = []
+        real_wait = Claim.wait
+
+        def checked_wait(claim, timeout=None):
+            if lock.owner == threading.get_ident():
+                waits_under_lock.append(claim.digest)
+            return real_wait(claim, timeout)
+
+        executed = []
+        real_execute = executor._execute
+
+        def counting_execute(unique, trace_id=None):
+            executed.extend(digest for digest, _ in unique)
+            yield from real_execute(unique, trace_id)
+
+        executor.coalescer.claim = gated_claim
+        executor._execute = counting_execute
+        monkeypatch.setattr(Claim, "wait", checked_wait)
+        with service:
+            a = service.submit(SweepSpec("a", (x, y)))
+            b = service.submit(SweepSpec("b", (y, x)))
+            deadline = time.time() + 60
+            while not (a.terminal and b.terminal):
+                assert time.time() < deadline, "crossed jobs deadlocked"
+                time.sleep(0.01)
+            runs = service.metrics_registry().snapshot()["service"]["runs"]
+        assert a.status == b.status == "done", (a.error, b.error)
+        assert sorted(executed) == sorted(map(request_digest, (x, y)))
+        assert waits_under_lock == []
+        for job in (a, b):
+            rows = job.to_json(runs=True)["runs"]
+            assert [row["source"] for row in rows] == ["executed",
+                                                       "coalesced"]
+            # every row has its run span, the followed one included
+            assert len([span for span in job.recorder.spans()
+                        if span.stage == "run"]) == len(rows)
+        assert runs["executed"] == 2 and runs["coalesced"] == 2
 
 
 class TestRunsEndpoints:
@@ -294,6 +377,52 @@ class TestErrorEnvelopes:
         status, doc = raw_request(served, "DELETE", "/v1/healthz")
         assert status == 405
         assert doc["error"]["code"] == "method_not_allowed"
+
+
+class TestPlatformOverride:
+    """A request carrying a full platform override, on the wire."""
+
+    @staticmethod
+    def request() -> RunRequest:
+        config = PlatformConfig(num_cores=2, policy=SyncPolicy.HW_BARRIER,
+                                dm_interleaved=True, im_broadcast=False,
+                                dm_broadcast=False)
+        return RunRequest("SQRT32", WITH_SYNC, config=config, n_samples=8,
+                          seed=1010)
+
+    def test_round_trip_keeps_the_request_and_its_digest(self):
+        request = self.request()
+        doc = json.loads(json.dumps(request_to_wire(request)))
+        assert doc["config"]["policy"] == ["HW_BARRIER"]
+        back = request_from_wire(doc)
+        assert back == request
+        assert request_digest(back) == request_digest(request)
+
+    def test_served_payload_equals_direct_execution(self, served):
+        spec = SweepSpec("override", (self.request(),))
+        final = served.client.wait(served.client.submit(spec)["id"])
+        assert final["status"] == "done", final["error"]
+        (run,) = final["runs"]
+        with SweepExecutor(jobs=0, cache=None) as direct:
+            (outcome,) = direct.run(spec)
+        assert outcome.golden_match is True
+        assert run["digest"] == outcome.digest
+        assert deterministic(served.client.run_payload(run["digest"])) \
+            == deterministic(outcome.payload)
+
+    @pytest.mark.parametrize("config", ["not-an-object", ["FULL"],
+                                        "unknown-policy"])
+    def test_malformed_config_is_400(self, served, config):
+        doc = SweepSpec("bad-config", (self.request(),)).to_wire()
+        if config == "unknown-policy":
+            config = dict(doc["requests"][0]["config"], policy=["NOPE"])
+        doc["requests"][0]["config"] = config
+        status, body = raw_request(served, "POST", "/v1/sweeps",
+                                   body=json.dumps(doc),
+                                   content_type="application/json")
+        assert status == 400
+        assert body["error"]["code"] == "bad_wire_document"
+        assert "config" in body["error"]["message"]
 
 
 class TestObservability:
