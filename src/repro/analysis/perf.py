@@ -20,8 +20,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..cpu import vec
+from ..isa.assembler import assemble
+from ..isa.program import Program
 from ..kernels.layout import BANK_WORDS
 from ..kernels.suite import (
     DESIGNS,
@@ -181,12 +184,18 @@ def _kernel_result(bench: str, design_name: str, channels,
                           term_diverge=stats.term_diverge)
 
 
+@lru_cache(maxsize=8)
+def _streaming_program(n_samples: int) -> Program:
+    """Assemble (and cache) the streaming node's image.  Machines may
+    share it: each copies the instructions and loads the data itself."""
+    return assemble(STREAMING_PROGRAM.format(n_samples=n_samples))
+
+
 def run_streaming(n_samples: int, *, period: int = STREAMING_PERIOD,
                   fast_engine: bool = True) -> Machine:
     """Simulate the duty-cycled streaming node to completion."""
-    machine = Machine.from_assembly(
-        STREAMING_PROGRAM.format(n_samples=n_samples),
-        WITH_SYNCHRONIZER, fast_engine=fast_engine)
+    machine = Machine(_streaming_program(n_samples), WITH_SYNCHRONIZER,
+                      fast_engine=fast_engine)
     for core, channel in enumerate(synthetic_channels(n_samples)):
         machine.dm.load(core * BANK_WORDS, channel)
     machine.add_timer(period, offset=period)

@@ -57,26 +57,32 @@ to ``step()`` — the dominant leftover cost in barrier-dense kernels.  In
 a divergent burst the group sits out the write cycle's fetch, which the
 other running cores arbitrate for, and the helper serves that fetch
 too (or declines the whole window).  A checkout that leaves the cores
-asleep, or a release that wakes sleepers, ends the burst; the engine
-applies the latched wakeups itself at the start of the next cycle, as
-``step()``'s first phase does, unless a timer or interrupt lands then.
+asleep, or a release that wakes sleepers, ends the burst; the gate
+applies the latched wakeups with the rest of the next cycle's first
+phase.
 
 **Sleep fast-forward** — duty-cycled streaming nodes sleep for hundreds of
 cycles between ADC interrupts.  When no core is running and only a timer
 or a scheduled interrupt can change machine state, the engine jumps
 ``trace.cycles`` straight to the cycle before the next event and
 bulk-credits the sleep/halt counters, instead of ticking the idle
-platform one cycle at a time.
+platform one cycle at a time.  The gate then runs the event's cycle,
+whose first phase delivers the interrupt that ends the sleep.
 
 **One gate** — the run loop calls :meth:`FastEngine._advance` before
 every reference cycle, and every regime above is entered through it.
-It hands the cycle to ``step()`` while anything is in flight beyond the
-cores (an outstanding memory or synchronizer request, a pending
-interrupt) or no cycle is left before the horizon: the run budget, or
-the cycle before the next timer fire or scheduled interrupt.  Otherwise
-it applies latched wakeups, scans the cores once for the running set
-and the idle census, and hands both and the horizon to the regime the
-running set calls for.
+Each pass first runs the next cycle's first phase,
+:meth:`Machine._begin_cycle` (latched wakeups, timer fires and scheduled
+interrupts, interrupt delivery), which consumes its inputs, so the
+``step()`` that may then run the cycle repeats it harmlessly.  The gate
+hands the cycle to ``step()`` while anything is in flight beyond the
+cores: an outstanding memory or synchronizer request, or an interrupt
+that stays pending (a core with interrupts disabled, asleep at a
+barrier or halted).  Otherwise it scans the cores once for the running
+set and the idle census, and hands both and the horizon, the cycle
+before the following timer fire or scheduled interrupt, to the regime
+the running set calls for.  Both bursts run ``SLEEP`` and ``HALT`` as
+their last cycle.
 
 All paths are cycle-exact: every counter in the
 :class:`~repro.platform.trace.ActivityTrace`, every register and every
@@ -92,13 +98,19 @@ from dataclasses import dataclass
 
 from ..cpu.executor import checkpoint_address
 from ..cpu.predecode import BURSTABLE, KIND_JUMP, KIND_MEM, KIND_SEQ, \
-    KIND_SYNC
+    KIND_STOP, KIND_SYNC
 from ..cpu.state import CoreMode
-from ..isa.spec import Opcode
+from ..isa.spec import Opcode, SysOp
 from .dxbar import DmRequest, serve_bank
 from .synchronizer import checkpoint_rmw
 
 INFINITY = float("inf")
+
+
+def _changes_mode(ins) -> bool:
+    """True for ``SLEEP`` and ``HALT``: the ``KIND_STOP`` forms that only
+    change the core's mode, which a burst runs as its last cycle."""
+    return ins.op is Opcode.SYS and ins.sub in (SysOp.SLEEP, SysOp.HALT)
 
 
 def _credit_winners(retired: list, running: list, first: int,
@@ -125,7 +137,9 @@ class EngineStats:
     bookkeeping adds no per-cycle cost).  The telemetry layer reads these
     to prove the fast engine stayed engaged during a traced run.  Every
     cycle they do not cover ran in ``step()`` (``cycles - fast_cycles``),
-    and the engine's gate was tried before each such cycle."""
+    and the engine's gate was tried before each such cycle: a run with
+    nothing in flight and no interrupt left pending leaves ``step()``
+    only its final quiet cycle."""
 
     #: lockstep burst engagements, including the ones that start at a
     #: checkpoint instruction (the burst replays every lockstep
@@ -142,16 +156,16 @@ class EngineStats:
     fused_blocks: int = 0
     #: cycles covered by fused blocks (a subset of ``lockstep_cycles``)
     fused_cycles: int = 0
-    #: bursts abandoned by a guard check — a STOP instruction, a
-    #: memory pattern that may lose D-Xbar arbitration and that the
-    #: conflict replay declines, a divergent checkpoint RMW the replay
-    #: declines, an off-image or multi-bank PC.  The abandoned cycle is
-    #: replayed by the reference ``step()``, which the burst hands it to
-    #: at once; a guard that fails again after that cycle counts again.
-    #: Burst endings that need no
-    #: fallback (horizon, convergence, divergence, a served group
-    #: leaving its IM bank, a checkpoint RMW that sleeps or wakes
-    #: cores, a lockstep one that ``step()`` must run) are not deopts.
+    #: bursts abandoned by a guard check — an encoding outside the ISA
+    #: table, a memory pattern that may lose D-Xbar arbitration and that
+    #: the conflict replay declines, a divergent checkpoint RMW the
+    #: replay declines, an off-image or multi-bank PC.  The abandoned
+    #: cycle is replayed by the reference ``step()``, which the burst
+    #: hands it to at once; a guard that fails again after that cycle
+    #: counts again.  Burst endings that need no fallback (horizon,
+    #: convergence, divergence, a served group leaving its IM bank, a
+    #: ``SLEEP``/``HALT``, a checkpoint RMW that sleeps or wakes cores,
+    #: a lockstep one that ``step()`` must run) are not deopts.
     deopt_count: int = 0
     #: block-termination census: every fused-block execution credits
     #: the reason its block stopped fusing further instructions —
@@ -279,28 +293,38 @@ class FastEngine:
     def _advance(self, limit: int) -> None:
         """Consume as many cycles as the fast paths allow (maybe none).
 
-        The one gate every fast path passes through.  It returns unless
-        nothing is in flight beyond the cores: no outstanding memory or
-        synchronizer request, no pending interrupt.  So no checkpoint
-        word is locked (only an RMW in flight locks one) and no D-Xbar
-        conflict group drains (only outstanding requests form one), and
-        no regime creates either.  It computes the horizon, the last
-        cycle a regime may simulate: inside the run budget and before
-        the next timer fire or scheduled interrupt, which ``step()``
-        handles.  With no cycle left it returns, which also leaves
-        latched wakeups to ``step()`` when an event lands with them;
-        otherwise it applies them, and one scan of the cores gives the
-        running set and the idle census (halted, sleeping,
-        barrier-sleeping).  Modes change only at a replayed RMW's
-        write, which ends its burst (a checking-out core is active in
-        it, a woken one asleep), so the census holds for every cycle
-        the regime runs.  A regime that stops cleanly comes back here;
-        one whose guard fails hands its cycle to ``step()``.
+        The one gate every fast path passes through.  Each pass runs
+        the first phase of the next cycle within ``limit``
+        (:meth:`Machine._begin_cycle`: latched wakeups, the timer fires
+        and scheduled interrupts due then, interrupt delivery).  The
+        phase consumes its inputs, so when the gate then hands the
+        cycle to ``step()``, whose first phase runs again, nothing
+        happens twice.  It returns unless nothing is in flight beyond
+        the cores: no outstanding memory or synchronizer request, no
+        interrupt left pending (one a core cannot take yet).  So no
+        checkpoint word is locked (only an RMW in flight locks one) and
+        no D-Xbar conflict group drains (only outstanding requests form
+        one), and no regime creates either.  The horizon, the last cycle
+        a regime may simulate, lies inside the run budget and before the
+        following timer fire or scheduled interrupt, whose first phase
+        the next pass runs.  One scan of the cores gives the running set
+        and the idle census (halted, sleeping, barrier-sleeping).  Modes
+        change only at a replayed RMW's write or at a ``SLEEP``/``HALT``,
+        and either ends its burst (a checking-out or stopping core is
+        active in that cycle, a woken one still asleep), so the census
+        holds for every cycle the regime runs.  A regime that stops
+        cleanly comes back here, sleep fast-forward included; one whose
+        guard fails hands its cycle to ``step()``.
         """
         machine = self._machine
+        trace = machine.trace
         cores = machine.cores
         barrier_sleeper = machine._barrier_sleeper
+        begin_cycle = machine._begin_cycle
         while True:
+            if trace.cycles >= limit:
+                return
+            begin_cycle(trace.cycles + 1)
             if machine._outstanding_count or machine._pending_irq_count:
                 return
             sync = machine.synchronizer
@@ -308,10 +332,6 @@ class FastEngine:
                 return
             next_event = self._next_event_cycle()
             horizon = min(limit, next_event - 1)
-            if machine.trace.cycles >= horizon:
-                return
-            if machine._wake_next:
-                machine._apply_wakes()
             running = []
             halted = sleeping = waiting = 0
             for cid, core in enumerate(cores):
@@ -329,6 +349,7 @@ class FastEngine:
                 # of the program from a deadlock.
                 if sleeping and next_event != INFINITY:
                     self._sleep_fast_forward(horizon, idle)
+                    continue
                 return
             pc = running[0].pc
             uniform = True
@@ -350,7 +371,8 @@ class FastEngine:
                     return
 
     def _next_event_cycle(self) -> float:
-        """First future cycle at which a timer or scheduled IRQ fires."""
+        """First cycle after the one whose first phase the gate ran at
+        which a timer or scheduled IRQ fires (INFINITY when none)."""
         machine = self._machine
         nxt = machine._next_timer_fire
         schedule = machine._irq_schedule
@@ -376,9 +398,10 @@ class FastEngine:
         replayed through :meth:`_mem_replay` when the policy holds
         synchronous conflicts; a lockstep SINC/SDEC goes through
         :meth:`_checkpoint_rmw` (ending the burst when it sleeps or
-        wakes cores).  Everything else — mode changes, PC divergence,
-        other bank conflicts — ends the burst, as does the gate's
-        horizon (``idle`` is its census of the other cores).
+        wakes cores).  A ``SLEEP``/``HALT`` runs as the burst's last
+        cycle.  Everything else — PC divergence, other bank conflicts,
+        an encoding outside the ISA table — ends the burst, as does the
+        gate's horizon (``idle`` is its census of the other cores).
 
         Whole straight-line runs between those instructions are advanced
         by **fused superblocks** (:mod:`repro.cpu.blocks`): one fused
@@ -466,7 +489,8 @@ class FastEngine:
                 continue
             rec = decoded[pc]
             kind = rec[0]
-            if kind <= BURSTABLE:
+            if kind <= BURSTABLE or (kind == KIND_STOP
+                                     and _changes_mode(rec[2])):
                 run = rec[1]
                 if single is not None:
                     run(single)
@@ -479,6 +503,8 @@ class FastEngine:
                     banks.add(pc // bank_words)
                 if kind == KIND_SEQ:
                     pc += 1
+                elif kind == KIND_STOP:
+                    break             # SLEEP/HALT: the running set changes
                 else:
                     pc = running[0].pc
                     if kind != KIND_JUMP:     # divergent control flow
@@ -522,7 +548,7 @@ class FastEngine:
                 if done:
                     break
             else:
-                deopt = True          # mode change / unclassified
+                deopt = True          # an encoding outside the table
                 break
         if deopt:
             self.stats.deopt_count += 1
@@ -591,18 +617,21 @@ class FastEngine:
         (none in a lockstep burst) and ``rec`` its dispatch record: a
         plain instruction runs, an LD/ST goes through :meth:`_mem_group`
         barred from the checkpoint word's bank, whose port the write
-        phase holds.  Fetch accounting stays with the burst.
+        phase holds, and a ``SLEEP``/``HALT`` runs after the write's wake
+        check, as the reference's fetch follows its write phase.  Fetch
+        accounting stays with the burst.
 
         :param cycles: the clock before cycle T (the RMW ends at
             ``cycles + 2``, which must not pass ``horizon``).
         :returns: True when the running set changes (the group sleeps,
-            or sleepers will wake), False when it does not — or None,
-            with nothing mutated, when ``step()`` must run the window:
-            no synchronizer, an event inside it, a split checkpoint
-            address (per-core ``Rsync``), an out-of-range word, a
-            protocol violation about to raise, or a write-cycle
-            fetch that is a STOP, a SINC/SDEC or an LD/ST that might
-            conflict or hits the checkpoint word's bank.
+            sleepers will wake, or the fetch sleeps or halts), False
+            when it does not — or None, with nothing mutated, when
+            ``step()`` must run the window: no synchronizer, an event
+            inside it, a split checkpoint address (per-core ``Rsync``),
+            an out-of-range word, a protocol violation about to raise,
+            or a write-cycle fetch that is an encoding outside the ISA
+            table, a SINC/SDEC or an LD/ST that might conflict or hits
+            the checkpoint word's bank.
         """
         machine = self._machine
         sync = machine.synchronizer
@@ -623,6 +652,7 @@ class FastEngine:
             len(checkins), len(checkouts), machine.config.num_cores)
         if not ok:
             return None
+        stop = False
         if fetch:
             # Touches neither the checkpoint word nor the group, so it
             # may run before the write it shares the cycle with.
@@ -631,6 +661,8 @@ class FastEngine:
                 run = rec[1]
                 for core in fetch:
                     run(core)
+            elif kind == KIND_STOP and _changes_mode(rec[2]):
+                stop = True           # runs after the write's wake check
             elif kind != KIND_MEM or not self._mem_group(
                     fetch, rec[1], machine.config.dm_bank_of(address)):
                 return None
@@ -647,20 +679,25 @@ class FastEngine:
         trace.cycles = cycles + 2         # listeners see the real clock
         sync.note_completion(cycles + 2, address, checkins, checkouts,
                              count, released, woken, True)
+        changes = stop
         if released:
             # latched to the start of the cycle after the write
             wake = machine._wake_next
             for cid, core in enumerate(machine.cores):
                 if woken >> cid & 1 and core.mode is CoreMode.SLEEPING:
                     wake.add(cid)
-            return bool(wake)
-        if checkouts:
+            changes = changes or bool(wake)
+        elif checkouts:
             barrier_sleeper = machine._barrier_sleeper
             for core in group:
                 core.mode = CoreMode.SLEEPING
                 barrier_sleeper[core.coreid] = True
-            return True
-        return False
+            changes = True
+        if stop:
+            run = rec[1]
+            for core in fetch:
+                run(core)
+        return changes
 
     def _divergent_burst(self, running: list, horizon: int,
                          idle: tuple) -> bool:
@@ -674,16 +711,17 @@ class FastEngine:
         else stalls, and the priority rotates past the winner.
 
         Every served cycle sets the bank's priority to ``winner + 1``,
-        and the running set cannot change inside a burst (mode changes
-        deopt before committing), so the winners are the running cores
-        in core-id order, cycling from the bank's priority: the burst
-        walks that order instead of re-picking.  The broadcast groups
-        are kept as a PC -> cores map, updated only for the cores that
-        moved.  A lone winner's LD/ST is served inline — a single
-        requester always wins its D-Xbar bank — and a group's through
-        :meth:`_mem_group`.  Every served cycle is a conflict cycle (a
-        full group ends the burst), so the conflict count, the lockstep
-        histogram and the retire counts are credited once per burst.
+        and the running set cannot change inside a burst (a
+        ``SLEEP``/``HALT`` is its last cycle), so the winners are the
+        running cores in core-id order, cycling from the bank's
+        priority: the burst walks that order instead of re-picking.  The
+        broadcast groups are kept as a PC -> cores map, updated only for
+        the cores that moved.  A lone winner's LD/ST is served inline —
+        a single requester always wins its D-Xbar bank — and a group's
+        through :meth:`_mem_group`.  Every served cycle is a conflict
+        cycle (a full group ends the burst), so the conflict count, the
+        lockstep histogram and the retire counts are credited once per
+        burst.
 
         A winner group at ``SINC``/``SDEC`` replays its merged RMW
         through :meth:`_checkpoint_rmw`.  In the write cycle the group
@@ -694,12 +732,14 @@ class FastEngine:
         wakes ends the burst.
 
         Deopts to ``step()`` — committing nothing for that cycle — when
-        the winner would stop or fault, when a served memory pattern
-        may lose D-Xbar arbitration, when :meth:`_checkpoint_rmw`
-        declines the RMW, and for the (never exercised by the bundled
-        kernels) multi-bank divergence case.  Ends cleanly at the gate's
-        horizon, when a served group leaves the bank, or when broadcast
-        cores re-converge, handing back to the lockstep burst.  ``idle``
+        the winner's instruction is outside the ISA table or would
+        fault, when a served memory pattern may lose D-Xbar arbitration,
+        when :meth:`_checkpoint_rmw` declines the RMW, and for the
+        (never exercised by the bundled kernels) multi-bank divergence
+        case.  Ends cleanly at the gate's horizon, after a served
+        ``SLEEP``/``HALT``, when a served group leaves the bank, or when
+        broadcast cores re-converge, handing back to the lockstep
+        burst.  ``idle``
         is the gate's census of the other cores.
 
         :returns: True if at least one cycle was consumed and no guard
@@ -765,7 +805,8 @@ class FastEngine:
                 ns = 1                # one fetch per bank per cycle
             rec = decoded[wpc]
             kind = rec[0]
-            if kind <= BURSTABLE:
+            if kind <= BURSTABLE or (kind == KIND_STOP
+                                     and _changes_mode(rec[2])):
                 run = rec[1]
                 if ns == 1:
                     run(winner)
@@ -838,7 +879,7 @@ class FastEngine:
                     break
                 continue
             else:
-                deopt = True          # mode change
+                deopt = True          # an encoding outside the table
                 break
             executed += 1
             i += 1
@@ -851,6 +892,8 @@ class FastEngine:
                         extra[core.coreid] += 1
             if kind == KIND_SEQ or kind == KIND_MEM:
                 nxt = wpc + 1
+            elif kind == KIND_STOP:
+                break                 # SLEEP/HALT: the running set changes
             elif ns == 1 or kind == KIND_JUMP:
                 nxt = winner.pc
             else:
@@ -1078,7 +1121,8 @@ class FastEngine:
         ahead: past the gate nothing is in flight and no interrupt is
         pending, so *nothing* can change before that event.  Credits
         every skipped cycle's sleep/halt (and barrier wait) counters,
-        from the gate's census ``idle``, in bulk.
+        from the gate's census ``idle``, in bulk.  The gate's next pass
+        runs the event's first phase, which delivers its interrupt.
         """
         machine = self._machine
         halted, sleeping, waiting = idle

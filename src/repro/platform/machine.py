@@ -3,7 +3,9 @@
 One :meth:`Machine.step` call simulates one clock cycle of the whole
 platform, in the order the hardware resolves it:
 
-1. apply wakeups latched last cycle; deliver interrupts;
+1. apply wakeups latched last cycle; raise the interrupts scheduled or
+   timed for this cycle; deliver every pending one a core can take
+   (:meth:`Machine._begin_cycle`);
 2. synchronizer write phase — pending checkpoint read-modify-writes
    complete, checked-out cores go to sleep or the barrier releases;
 3. instruction fetch arbitration through the I-Xbar (with broadcast);
@@ -20,10 +22,14 @@ and consume only sleep power while checked out at a barrier.
 
 ``step()`` is the *reference* engine; :meth:`Machine.run` drives it
 through the :class:`~repro.platform.engine.FastEngine`, which collapses
-lockstep stretches and idle sleep periods into batched updates whenever
-that is provably cycle-exact (and always when probes are attached falls
-back to per-cycle stepping).  Construct with ``fast_engine=False`` to
-force pure ``step()`` stepping.
+lockstep and divergent stretches and idle sleep periods into batched
+updates whenever that is provably cycle-exact (and always when probes
+are attached falls back to per-cycle stepping).  The engine's gate runs
+phase 1 of every cycle through the same method, so wakeups, timer fires
+and interrupt delivery have one definition; phase 1 consumes its
+inputs, so ``step()`` repeating it for a cycle the gate hands over
+changes nothing.  Construct with ``fast_engine=False`` to force pure
+``step()`` stepping.
 """
 
 from __future__ import annotations
@@ -220,42 +226,10 @@ class Machine:
         trace = self.trace
         cores = self.cores
         trace.cycles += 1
-        cycle = trace.cycles
         active: set[int] = set()
 
         # -- 1. latched wakeups and interrupts ---------------------------
-        if self._wake_next:
-            self._apply_wakes()
-
-        due = self._irq_schedule.pop(cycle, None)
-        if due:
-            for cid in due:
-                if not self._pending_irq[cid]:
-                    self._pending_irq[cid] = True
-                    self._pending_irq_count += 1
-        if cycle >= self._next_timer_fire:
-            timer_next = self._timer_next
-            for index, (period, _offset, targets) in enumerate(self._timers):
-                if timer_next[index] == cycle:
-                    for cid in targets:
-                        if not self._pending_irq[cid]:
-                            self._pending_irq[cid] = True
-                            self._pending_irq_count += 1
-                    timer_next[index] = cycle + period
-            self._next_timer_fire = min(timer_next)
-        if self._pending_irq_count:
-            for cid, core in enumerate(cores):
-                # A core checked out at a barrier is clock gated by the
-                # synchronizer, one level below interrupt-wakeable sleep:
-                # waking it early would let it run past an unreleased
-                # checkpoint.  Its IRQ stays pending until the wakeup.
-                if (self._pending_irq[cid] and core.interrupts_enabled
-                        and core.mode is not CoreMode.HALTED
-                        and not self._barrier_sleeper[cid]
-                        and self._outstanding[cid] is None):
-                    take_interrupt(core)
-                    self._pending_irq[cid] = False
-                    self._pending_irq_count -= 1
+        self._begin_cycle(trace.cycles)
 
         # -- 2. synchronizer write phase ---------------------------------
         busy_banks: set[int] = _NO_BANKS
@@ -380,17 +354,55 @@ class Machine:
 
     # ------------------------------------------------------------------
 
-    def _apply_wakes(self) -> None:
-        """Wake the sleepers a barrier release latched last cycle (phase
-        1; the fast engine applies them too when nothing else lands on
-        the cycle)."""
+    def _begin_cycle(self, cycle: int) -> None:
+        """Phase 1 of ``cycle``: apply the wakeups latched last cycle,
+        raise the interrupts scheduled or timed for ``cycle`` and deliver
+        every pending one a core can take.
+
+        ``step()`` calls it, and so does the fast engine's gate before it
+        picks a regime for ``cycle``.  The phase consumes its inputs (the
+        latched set, the schedule entry, the timer cursors, the delivered
+        flags), so a second call for the same cycle changes nothing:
+        ``step()`` may run a cycle whose phase 1 the gate already ran.
+        """
         cores = self.cores
-        for cid in self._wake_next:
-            core = cores[cid]
-            if core.mode is CoreMode.SLEEPING:
-                core.mode = CoreMode.RUNNING
-            self._barrier_sleeper[cid] = False
-        self._wake_next.clear()
+        if self._wake_next:
+            for cid in self._wake_next:
+                core = cores[cid]
+                if core.mode is CoreMode.SLEEPING:
+                    core.mode = CoreMode.RUNNING
+                self._barrier_sleeper[cid] = False
+            self._wake_next.clear()
+
+        pending = self._pending_irq
+        if self._irq_schedule:
+            for cid in self._irq_schedule.pop(cycle, ()):
+                if not pending[cid]:
+                    pending[cid] = True
+                    self._pending_irq_count += 1
+        if cycle >= self._next_timer_fire:
+            timer_next = self._timer_next
+            for index, (period, _offset, targets) in enumerate(self._timers):
+                if timer_next[index] == cycle:
+                    for cid in targets:
+                        if not pending[cid]:
+                            pending[cid] = True
+                            self._pending_irq_count += 1
+                    timer_next[index] = cycle + period
+            self._next_timer_fire = min(timer_next)
+        if self._pending_irq_count:
+            for cid, core in enumerate(cores):
+                # A core checked out at a barrier is clock gated by the
+                # synchronizer, one level below interrupt-wakeable sleep:
+                # waking it early would let it run past an unreleased
+                # checkpoint.  Its IRQ stays pending until the wakeup.
+                if (pending[cid] and core.interrupts_enabled
+                        and core.mode is not CoreMode.HALTED
+                        and not self._barrier_sleeper[cid]
+                        and self._outstanding[cid] is None):
+                    take_interrupt(core)
+                    pending[cid] = False
+                    self._pending_irq_count -= 1
 
     def _retire(self, cid: int) -> None:
         self.trace.retired_ops += 1

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares, lsq_linear
 
 from .components import Component
 from .energy import EnergyCoefficients, EnergyModel
@@ -144,6 +143,10 @@ def _component_row(component: Component, rates: dict[str, float],
 def fit_energy_coefficients(runs: list[RunActivity]
                             ) -> tuple[EnergyCoefficients, float]:
     """Bounded least squares of per-event energies against Table I."""
+    # imported here, not at module level: SciPy roughly doubles the time
+    # and memory of ``import repro``, and only calibration needs it
+    from scipy.optimize import lsq_linear
+
     rows, targets, weights = [], [], []
     for run in runs:
         f_mhz = TABLE1_WORKLOAD_MOPS / run.ops_per_cycle
@@ -179,6 +182,8 @@ def fit_voltage_model(runs: list[RunActivity],
     peak (the analogous operating point to the paper's), and the target is
     the paper's reported saving there.
     """
+    from scipy.optimize import least_squares
+
     from .scaling import DesignPowerModel
 
     by_key = {(r.benchmark, r.design): r for r in runs}

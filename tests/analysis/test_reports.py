@@ -1,7 +1,13 @@
 """Tests for experiment runners, report formatters and the CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.analysis import (
     access_rows,
     default_executor,
@@ -145,3 +151,23 @@ class TestCli:
     def test_listing_baseline_has_no_sync(self, capsys):
         assert self.invoke("listing", "SQRT32", "--baseline") == 0
         assert "SINC" not in capsys.readouterr().out
+
+    def test_calibrate(self, capsys):
+        assert self.invoke("calibrate", "--samples", "8") == 0
+        out = capsys.readouterr().out
+        assert "energy fit residual" in out
+        assert "voltage fit residual" in out
+
+    def test_import_leaves_scipy_unloaded(self):
+        """Only ``repro calibrate`` fits anything, so importing the
+        package and its CLI must not pay for SciPy."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        probe = ("import sys, repro, repro.cli; "
+                 "print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy'))")
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

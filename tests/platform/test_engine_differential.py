@@ -14,8 +14,9 @@ interleaved DM banking under both headline policies), and on a seeded
 ECG input under the five synchronizer configurations and the
 interleaved baseline,
 interrupt-driven streaming with a periodic timer, scheduled one-shot
-interrupts, period-1/period-2 timer edges, incremental ``run_cycles``
-stepping, and the error paths (cycle limit, deadlock).
+interrupts, period-1/period-2 timer edges, an interrupt one core cannot
+take, cores halting one by one in divergent bursts, incremental
+``run_cycles`` stepping, and the error paths (cycle limit, deadlock).
 """
 
 import random
@@ -97,19 +98,20 @@ ECG_CONFIGS = ("barrier-only", "with-sync", "with-sync-4-cores",
 ECG_SAMPLES = 8
 #: the most cycles step() may still run on ECG with IM broadcast: the
 #: bursts replay every barrier exchange they can prove, divergent ones
-#: included, and apply latched wakeups themselves
-ECG_STEP_CEILING = 10
+#: included, and run HALT themselves; the gate runs every cycle's first
+#: phase (wakeups, timer fires, interrupt delivery)
+ECG_STEP_CEILING = 5
 #: the same ceiling under interleaved DM, per kernel.  SPMD private
 #: buffers put lockstep cores in one bank at different words there; the
 #: lockstep burst replays those synchronous one-bank conflicts, while
 #: conflicts spanning several banks and group conflicts inside divergent
 #: bursts still go to step()
-INTERLEAVED_STEP_CEILING = {"MRPFLTR": 355, "MRPDLN": 303, "SQRT32": 70}
+INTERLEAVED_STEP_CEILING = {"MRPFLTR": 354, "MRPDLN": 302, "SQRT32": 69}
 #: the ceiling for the baseline policy under interleaved DM, per kernel:
 #: its conflicts let the served cores run on while the losers retry, a
 #: case no burst replays, so step() still runs most of its conflicts
-BASELINE_INTERLEAVED_STEP_CEILING = {"MRPFLTR": 18576, "MRPDLN": 6855,
-                                     "SQRT32": 357}
+BASELINE_INTERLEAVED_STEP_CEILING = {"MRPFLTR": 18571, "MRPDLN": 6848,
+                                     "SQRT32": 349}
 
 
 @pytest.mark.parametrize("config_name,ecg", [
@@ -171,11 +173,21 @@ def streaming_pair(n_samples=24, period=120, **timer_kwargs):
     return run_pair(program, PlatformConfig(num_cores=8), setup)
 
 
+def assert_fast_throughout(machine):
+    """step() ran at most the final quiet cycle, and no burst deopted."""
+    stats = machine.engine_stats
+    assert machine.trace.cycles - stats.fast_cycles <= 1
+    assert stats.deopt_count == 0
+
+
 def test_streaming_timer_differential():
-    """Duty-cycled EMA node: ISR + SLEEP + timer = sleep fast-forward."""
+    """Duty-cycled EMA node: ISR + SLEEP + timer = sleep fast-forward.
+    Timer fires, interrupt delivery, SLEEP and HALT stay on the fast
+    path too."""
     fast, slow = streaming_pair(offset=120)
     assert_equivalent(fast, slow)
     assert fast.trace.core_sleep_cycles > 0
+    assert_fast_throughout(fast)
 
 
 # counts interrupts in the ISR and halts from there, so the main loop
@@ -212,11 +224,127 @@ def counting_pair(expected, setup_irqs, max_cycles=10_000):
 
 @pytest.mark.parametrize("period,offset", [(1, 0), (1, 1), (2, 0), (2, 5)])
 def test_timer_edge_periods(period, offset):
-    """Back-to-back timer fires leave no room to fast-forward — still exact."""
+    """Back-to-back timer fires leave no room to fast-forward — still
+    exact.  The ISR runs with interrupts disabled while the next fire is
+    already pending, so these cycles stay with step() by design."""
     fast, slow = counting_pair(
         10, lambda machine: machine.add_timer(period, offset=offset))
     assert_equivalent(fast, slow)
     assert all(core.regs[1] == 10 for core in fast.cores)
+
+
+def test_spaced_timer_stays_on_the_fast_path():
+    """With room between fires, every fire, delivery, SLEEP and the
+    ISR's HALT runs on the fast path."""
+    fast, slow = counting_pair(
+        10, lambda machine: machine.add_timer(50, offset=50))
+    assert_equivalent(fast, slow)
+    assert all(core.regs[1] == 10 for core in fast.cores)
+    assert_fast_throughout(fast)
+
+
+# core 7 cannot take the timer's first interrupt: it sleeps checked out
+# at a barrier the others release only after their work, or it never
+# enables interrupts
+BLOCKED_IRQ = """
+.entry main
+isr:
+    INC R1                  ; interrupts taken
+    RETI
+main:
+    LI R2, #isr
+    MTSR IVEC, R2
+    LI R2, #30720           ; DEFAULT_SYNC_BASE
+    MTSR RSYNC, R2
+    CLR R1
+    LI R3, #40
+    MFSR R0, COREID
+    SINC #0
+    CMPI R0, #7
+    LBNE work
+    {core7}
+work:
+    EI
+spin:
+    DEC R3
+    LBNE spin
+    SDEC #0
+    HALT
+"""
+
+
+@pytest.mark.parametrize("core7", ["EI\n    SDEC #0\n    HALT", "JMP spin"],
+                         ids=["barrier-sleeper", "interrupts-disabled"])
+def test_interrupt_a_core_cannot_take(core7):
+    """The gate runs the fire cycle's first phase, which delivers the
+    interrupt to cores 0-6 and leaves core 7's pending, so it hands the
+    cycle to step(), whose own first phase must then change nothing."""
+    from repro.isa.assembler import assemble
+
+    program = assemble(BLOCKED_IRQ.format(core7=core7))
+    fast, slow = (Machine(program, PlatformConfig(num_cores=8),
+                          fast_engine=fast_engine)
+                  for fast_engine in (True, False))
+    for machine in (fast, slow):
+        machine.add_timer(60, offset=60)
+    fast.run_cycles(59)
+    before = fast.engine_stats.fast_cycles
+    fast.run_cycles(1)
+    assert fast.engine_stats.fast_cycles == before   # step() ran cycle 60
+    assert fast._pending_irq == [False] * 7 + [True]
+    for machine in (fast, slow):
+        machine.run(max_cycles=10_000)
+    assert_equivalent(fast, slow)
+    assert [core.regs[1] for core in fast.cores][:7] == [2] * 7
+
+
+# every core spins a different number of times, so the cores halt one by
+# one, each inside a divergent burst
+STAGGERED_HALT = """
+.entry main
+main:
+    MFSR R0, COREID
+    LI R3, #3
+    ADD R3, R3, R0          ; core k spins 3 + k times
+spin:
+    DEC R3
+    LBNE spin
+    HALT
+"""
+
+# cores 4-7 fetch HALT in the write cycle of cores 0-3's check-in
+HALT_BESIDE_A_CHECKIN = """
+.entry main
+main:
+    LI R1, #30720           ; DEFAULT_SYNC_BASE
+    MTSR RSYNC, R1
+    MFSR R0, COREID
+    CMPI R0, #4
+    BLT group_a
+    HALT
+group_a:
+    SINC #0
+    SDEC #0
+    HALT
+"""
+
+
+@pytest.mark.parametrize("source,config", [
+    (STAGGERED_HALT, PlatformConfig(num_cores=8)),
+    (STAGGERED_HALT, PlatformConfig(num_cores=8, policy=SyncPolicy.FULL,
+                                    im_broadcast=False,
+                                    dm_broadcast=False)),
+    (HALT_BESIDE_A_CHECKIN, PlatformConfig(num_cores=8)),
+], ids=["staggered", "staggered-no-broadcast", "beside-a-checkin"])
+def test_divergent_halts_stay_on_the_fast_path(source, config):
+    """A HALT ends its burst cleanly, credited like any retired
+    instruction, instead of deopting to step()."""
+    from repro.isa.assembler import assemble
+
+    fast, slow = run_pair(assemble(source), config, max_cycles=10_000)
+    assert_equivalent(fast, slow)
+    assert fast.engine_stats.divergent_bursts > 0
+    assert_fast_throughout(fast)
 
 
 def test_scheduled_interrupt_differential():
