@@ -29,8 +29,9 @@ become one closure *factory*, compiled once per process, whose
 parameters are the form's folded operand constants — so a closure
 performs no enum comparison, no operand attribute walk and no
 ``AluResult`` allocation at execution time, and instantiating one per
-distinct instruction costs a function call.  Forms the engines never
-run inline (``KIND_STOP``, invalid special registers, undefined
+distinct instruction costs a function call.  ``SLEEP`` and ``HALT``
+render like every other form (a mode write plus the PC); only
+encodings outside the table (invalid special registers, undefined
 sub-ops) get a closure that calls :func:`execute_plain` itself, so
 their effects and errors match the reference by construction.
 ``tests/cpu/test_semantics.py`` checks every form differentially
@@ -59,6 +60,7 @@ from .semantics import (  # noqa: F401  (KIND_* re-exported for engines)
     form_key,
     rendered,
 )
+from .state import CoreMode
 
 #: form key -> (closure factory, folded-constants function), compiled
 #: once per process
@@ -75,7 +77,8 @@ def _factory(ins: Instruction, key: tuple) -> tuple:
     source = (f"def make({params}):\n    def run(core):\n"
               + "".join(f"        {line}\n" for line in body)
               + "    return run\n")
-    namespace: dict = {}
+    # the mode names a mode-changing form writes
+    namespace: dict = {mode.name: mode for mode in CoreMode}
     exec(compile(source, f"<form {key[0].name}>", "exec"), namespace)
     entry = _factories[key] = (namespace["make"], r.values)
     return entry
@@ -85,16 +88,17 @@ def compile_instruction(ins: Instruction) -> tuple:
     """Compile one instruction into its ``(kind, payload, ins)`` record."""
     key = form_key(ins)
     form = FORMS.get(key)
-    kind = KIND_STOP if form is None else form.kind
+    if form is None:
+        # outside the table: the reference decides (or raises)
+        return KIND_STOP, lambda core: execute_plain(core, ins), ins
+    kind = form.kind
     if kind == KIND_MEM:
         # operand tuple for the engine's inline lockstep memory cycle
         return kind, (ins.op is Opcode.ST, ins.rs, ins.imm, ins.rd), ins
     if kind == KIND_SYNC:
         return kind, None, ins
-    if kind == KIND_STOP:
-        return kind, lambda core: execute_plain(core, ins), ins
-    # a plain instruction: its form's closure factory, bound to the
-    # instruction's folded operand constants
+    # a plain or mode-changing instruction: its form's closure factory,
+    # bound to the instruction's folded operand constants
     make, values = _factories.get(key) or _factory(ins, key)
     return kind, make(*values(ins.rd, ins.rs, ins.rt, ins.imm, 0)), ins
 

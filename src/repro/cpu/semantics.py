@@ -24,6 +24,9 @@ NumPy arrays, so one text serves the scalar and the vector renderers:
 - ``fz fn fc fv`` — the flags; a flag write takes a comparison (a
   boolean) or a 0/1 bit;
 - ``rsync ivec epc status coreid ncores`` — the special registers;
+- ``mode`` — the core's mode, written ``SLEEPING`` or ``HALTED``
+  (closure target only: blocks end before the ``KIND_STOP`` forms that
+  write it, and the batch engine peels on them);
 - ``rd rs rt imm`` — the instruction's operand fields and ``pc`` its
   address; a subexpression over these alone is folded to a constant
   when the form is instantiated (for closures ``pc`` stays dynamic);
@@ -33,11 +36,10 @@ NumPy arrays, so one text serves the scalar and the vector renderers:
 
 :mod:`repro.cpu.executor` and :mod:`repro.cpu.alu` are deliberately
 *not* derived from this table: they are the independent reference every
-rendering is differentially tested against.  Forms without templates —
-``KIND_STOP`` ones, and encodings outside the table (invalid special
-registers, undefined sub-ops) — predecode to a closure that calls
-:func:`~repro.cpu.executor.execute_plain`, so their effects and errors
-match the reference by construction.
+rendering is differentially tested against.  Encodings outside the table
+(invalid special registers, undefined sub-ops) predecode to a closure
+that calls :func:`~repro.cpu.executor.execute_plain`, so their effects
+and errors match the reference by construction.
 
 Adding an opcode: add its entry to :data:`FORMS` and its reference
 semantics to :func:`~repro.cpu.executor.execute_plain`; the three
@@ -64,8 +66,10 @@ KIND_JUMP = 1
 #: Plain control flow whose target depends on per-core state (BCC/JR/
 #: CALLR/RETI): lockstep cores may diverge and the engine must re-check.
 KIND_DIVERGE = 2
-#: Instruction that changes the core's *mode* (HALT/SLEEP) or lies
-#: outside the table; the engine defers the cycle to ``Machine.step``.
+#: Instruction that changes the core's *mode* (HALT/SLEEP): the running
+#: set changes, so a burst runs it as its last cycle.  Encodings outside
+#: the table predecode to this kind too; the engine defers those to
+#: ``Machine.step``.
 KIND_STOP = 3
 #: LD/ST — completes through D-Xbar arbitration.
 KIND_MEM = 4
@@ -177,8 +181,8 @@ def _table() -> dict:
         (Opcode.SYS, SysOp.NOP): seq(),
         (Opcode.SYS, SysOp.EI): seq("status = status | 1"),
         (Opcode.SYS, SysOp.DI): seq("status = status & 65534"),
-        (Opcode.SYS, SysOp.HALT): Form(KIND_STOP),
-        (Opcode.SYS, SysOp.SLEEP): Form(KIND_STOP),
+        (Opcode.SYS, SysOp.HALT): Form(KIND_STOP, ("mode = HALTED",)),
+        (Opcode.SYS, SysOp.SLEEP): Form(KIND_STOP, ("mode = SLEEPING",)),
         (Opcode.SYS, SysOp.RETI): Form(
             KIND_DIVERGE, ("PC = epc", "status = status | 1")),
         (Opcode.JMP, None): Form(KIND_JUMP, ("PC = imm",)),
@@ -300,7 +304,9 @@ class _Translator:
             return self.state(f"s_{name}", f"core.{name}", write)
         if name == "pc":                    # dynamic only in closures
             return ast.Name("core.pc")
-        return node                                         # temporary
+        if name == "mode":                  # closures only
+            return ast.Name("core.mode")
+        return node                             # temporary or mode name
 
     def expr(self, node) -> ast.expr:
         node, static = self._walk(node)
@@ -365,8 +371,9 @@ _folders: dict = {}
 
 def rendered(ins, target: str) -> Rendered | None:
     """``ins``'s form in ``target``'s shape (memoized per form), or None
-    for forms the engines never run inline (stop, memory, sync, and
-    encodings outside the table)."""
+    for forms the engines never run inline in that shape (memory, sync,
+    encodings outside the table, and the mode-changing stop forms
+    outside the closure target)."""
     key = form_key(ins)
     try:
         return _renderings[key, target]
@@ -374,7 +381,8 @@ def rendered(ins, target: str) -> Rendered | None:
         pass
     form = FORMS.get(key)
     result = None
-    if form is not None and form.kind <= BURSTABLE:
+    if form is not None and (form.kind <= BURSTABLE or (
+            form.kind == KIND_STOP and target == CLOSURE)):
         t = _Translator(target)
         lines = tuple(
             line for line in map(t.statement,

@@ -12,8 +12,12 @@ channel.  Everything is seeded and reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+# NumPy is imported inside the functions that use it, so ``import
+# repro`` does not load it
+if TYPE_CHECKING:
+    import numpy as np
 
 #: (relative time within beat [0..1), width fraction, amplitude factor)
 _PQRST = (
@@ -80,6 +84,8 @@ def generate_ecg(n_channels: int = 8, n_samples: int = 512,
     Channels share beat timing (same heart) but differ in amplitude,
     per-wave morphology factors and noise realization (different leads).
     """
+    import numpy as np
+
     config = config or EcgConfig()
     rng = np.random.default_rng(config.seed)
     fs = config.fs

@@ -19,7 +19,12 @@ edge values.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+# NumPy is imported inside the functions that use it, so ``import
+# repro`` does not load it
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _check_length(k: int) -> int:
@@ -29,6 +34,8 @@ def _check_length(k: int) -> int:
 
 
 def _sliding(x: np.ndarray, k: int) -> np.ndarray:
+    import numpy as np
+
     half = k // 2
     padded = np.pad(np.asarray(x), half, mode="edge")
     return np.lib.stride_tricks.sliding_window_view(padded, k)

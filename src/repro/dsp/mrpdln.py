@@ -26,10 +26,14 @@ integer form (:func:`mrpdln_int`) are provided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .morphology import dilation, dilation_int, erosion, erosion_int
+
+# NumPy is imported inside the functions that use it, so ``import
+# repro`` does not load it
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SCALE = 4          # SE length 2s+1 = 9 at the QRS scale
 DEFAULT_REFRACTORY = 40    # minimum samples between R peaks
@@ -38,6 +42,8 @@ DEFAULT_SEARCH = 12        # onset/offset search half-window
 
 def mmd(x, scale: int = DEFAULT_SCALE) -> np.ndarray:
     """Multiscale morphological derivative at ``scale``."""
+    import numpy as np
+
     x = np.asarray(x, dtype=np.int64)
     k = 2 * scale + 1
     return dilation(x, k) + erosion(x, k) - 2 * x
@@ -56,6 +62,8 @@ def delineate(x, scale: int = DEFAULT_SCALE,
               refractory: int = DEFAULT_REFRACTORY,
               search: int = DEFAULT_SEARCH) -> Delineation:
     """Delineate QRS complexes; numpy reference implementation."""
+    import numpy as np
+
     d = mmd(x, scale)
     threshold = int(d.min()) >> 2        # negative fraction of the extreme
     peaks: list[int] = []

@@ -16,7 +16,7 @@ Defaults follow the paper's recipe scaled to the synthetic sampling rate:
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .morphology import (
     closing,
@@ -25,6 +25,11 @@ from .morphology import (
     opening_int,
 )
 
+# NumPy is imported inside the functions that use it, so ``import
+# repro`` does not load it
+if TYPE_CHECKING:
+    import numpy as np
+
 DEFAULT_NOISE_SE = 3
 DEFAULT_BASELINE_SE1 = 9
 DEFAULT_BASELINE_SE2 = 13
@@ -32,6 +37,8 @@ DEFAULT_BASELINE_SE2 = 13
 
 def suppress_noise(x, b: int = DEFAULT_NOISE_SE) -> np.ndarray:
     """Impulse-noise suppression: ½(x∘b•b + x•b∘b)."""
+    import numpy as np
+
     x = np.asarray(x, dtype=np.int64)
     oc = closing(opening(x, b), b)
     co = opening(closing(x, b), b)
@@ -41,6 +48,8 @@ def suppress_noise(x, b: int = DEFAULT_NOISE_SE) -> np.ndarray:
 def estimate_baseline(x, l1: int = DEFAULT_BASELINE_SE1,
                       l2: int = DEFAULT_BASELINE_SE2) -> np.ndarray:
     """Baseline estimate: (x ∘ l1) • l2."""
+    import numpy as np
+
     return closing(opening(np.asarray(x, dtype=np.int64), l1), l2)
 
 

@@ -11,8 +11,6 @@ benchmark interesting for the synchronization study.
 
 from __future__ import annotations
 
-import numpy as np
-
 
 def isqrt32(n: int) -> int:
     """Floor square root of a 32-bit unsigned integer.
@@ -58,6 +56,8 @@ def rms_envelope(x, window: int = 8) -> list[int]:
 
 def combine_leads(channels) -> list[int]:
     """Multi-lead combination: per sample, isqrt of the summed squares."""
+    import numpy as np              # here, so ``import repro`` stays without it
+
     arr = np.asarray(channels, dtype=np.int64)
     sums = (arr * arr).sum(axis=0)
     return [isqrt32(int(s)) for s in sums]

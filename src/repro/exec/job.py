@@ -29,7 +29,6 @@ from functools import lru_cache
 
 from .. import __version__
 from ..compiler import compile_source
-from ..cpu import vec
 from ..dsp import generate_ecg
 from ..dsp.ecg import EcgConfig
 from ..isa.program import Program
@@ -205,23 +204,31 @@ def _build_minic(benchmark: str, sync_mode: str,
     return result.program, result.sync_points
 
 
+def resolve_sync_mode(request: RunRequest) -> str | None:
+    """The sync-insertion mode a request's image is compiled with: its
+    ``sync_mode``, else the design's default; None for assembly kernels,
+    which take no compile overrides."""
+    if BENCHMARKS[request.benchmark].kind == "minic":
+        if request.sync_mode is not None:
+            return request.sync_mode
+        return "auto" if request.design.sync_enabled else "none"
+    if request.sync_mode is not None or request.sync_min_statements:
+        raise ValueError(
+            f"{request.benchmark} is assembly: sync_mode / "
+            "sync_min_statements overrides only apply to minic kernels")
+    return None
+
+
 def resolve_program(request: RunRequest) -> tuple[Program, int | None]:
     """Build (or fetch the per-process cached) image for a request.
 
     :returns: ``(program, sync_points)``; ``sync_points`` is ``None``
         for assembly kernels, where the compiler never counts them.
     """
-    bench = BENCHMARKS[request.benchmark]
-    if bench.kind == "minic":
-        mode = request.sync_mode
-        if mode is None:
-            mode = "auto" if request.design.sync_enabled else "none"
+    mode = resolve_sync_mode(request)
+    if mode is not None:
         return _build_minic(request.benchmark, mode,
                             request.sync_min_statements)
-    if request.sync_mode is not None or request.sync_min_statements:
-        raise ValueError(
-            f"{request.benchmark} is assembly: sync_mode / "
-            "sync_min_statements overrides only apply to minic kernels")
     return build_program(request.benchmark,
                          request.design.sync_enabled), None
 
@@ -272,10 +279,12 @@ def program_digest(program: Program) -> str:
 def request_digest(request: RunRequest, *, version: str | None = None) -> str:
     """Content address of one run.
 
-    Hashes the *resolved* inputs — the built program image and the
-    materialized channel samples — plus the platform configuration and
-    the package version, so a digest match means "the bits this run
-    consumes are identical".  Compiler changes, kernel-source edits, ECG
+    Hashes the *resolved* inputs — the built program image, the
+    materialized channel samples and the sync-insertion mode — plus the
+    platform configuration and the package version, so a digest match
+    means "the bits this run consumes are identical": a minic request
+    naming its design's default mode shares the digest of one naming
+    none.  Compiler changes, kernel-source edits, ECG
     parameter changes and package upgrades all change the digest without
     any of them having to be listed here explicitly.
     """
@@ -292,7 +301,7 @@ def request_digest(request: RunRequest, *, version: str | None = None) -> str:
             json.dumps(channels, separators=(",", ":")).encode()
         ).hexdigest(),
         "n_samples": request.n_samples,
-        "sync_mode": request.sync_mode,
+        "sync_mode": resolve_sync_mode(request),
         "sync_min_statements": request.sync_min_statements,
         "fast_engine": request.fast_engine,
         "max_cycles": request.max_cycles,
@@ -430,6 +439,8 @@ def execute_batch(requests, *, timeout: float | None = None,
 
     :returns: one ``(payload, error)`` pair per request, in order.
     """
+    # NumPy, which the vector engine needs, stays off the import path
+    from ..cpu import vec
     from ..obs.log import emit
 
     batch = list(requests)

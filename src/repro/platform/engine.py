@@ -66,8 +66,11 @@ cycles between ADC interrupts.  When no core is running and only a timer
 or a scheduled interrupt can change machine state, the engine jumps
 ``trace.cycles`` straight to the cycle before the next event and
 bulk-credits the sleep/halt counters, instead of ticking the idle
-platform one cycle at a time.  The gate then runs the event's cycle,
-whose first phase delivers the interrupt that ends the sleep.
+platform one cycle at a time.  A burst whose last cycle puts the last
+running cores to sleep takes the skip in the same gate pass, from the
+pass's census plus the cores that just stopped.  The gate then runs the
+event's cycle, whose first phase delivers the interrupt that ends the
+sleep, so each sampled interrupt costs one gate pass.
 
 **One gate** — the run loop calls :meth:`FastEngine._advance` before
 every reference cycle, and every regime above is entered through it.
@@ -81,8 +84,11 @@ that stays pending (a core with interrupts disabled, asleep at a
 barrier or halted).  Otherwise it scans the cores once for the running
 set and the idle census, and hands both and the horizon, the cycle
 before the following timer fire or scheduled interrupt, to the regime
-the running set calls for.  Both bursts run ``SLEEP`` and ``HALT`` as
-their last cycle.
+the running set calls for.  Both bursts run ``SLEEP`` and ``HALT``,
+rendered from the semantics table like every other form, as their last
+cycle; when that leaves no core running and the next cycle's first
+phase would change nothing, the same pass goes on to the sleep skip
+instead of scanning again.
 
 All paths are cycle-exact: every counter in the
 :class:`~repro.platform.trace.ActivityTrace`, every register and every
@@ -315,6 +321,15 @@ class FastEngine:
         holds for every cycle the regime runs.  A regime that stops
         cleanly comes back here, sleep fast-forward included; one whose
         guard fails hands its cycle to ``step()``.
+
+        A burst that leaves no core running (its last cycle ran
+        ``SLEEP``/``HALT`` or a check-out on the last running cores)
+        extends the census by those cores.  When the next cycle's first
+        phase would change nothing (no wakeup latched, no event due
+        then, still inside ``limit``), the pass takes the sleep skip
+        itself, or returns to ``step()`` when no event lies ahead,
+        instead of a second pass that reruns a no-op first phase and the
+        scan: one sampled interrupt of a duty-cycled node costs one pass.
         """
         machine = self._machine
         trace = machine.trace
@@ -369,18 +384,39 @@ class FastEngine:
                 # serializes through rotating per-bank arbitration.
                 if not self._divergent_burst(running, horizon, idle):
                     return
+            # The census of the cycle after the burst, when no core is
+            # left running: the idle cores stay idle (a wakeup is only
+            # latched), and the burst's cores stopped in its last cycle.
+            for core in running:
+                mode = core.mode
+                if mode is CoreMode.RUNNING:
+                    break
+                if mode is CoreMode.HALTED:
+                    halted += 1
+                else:
+                    sleeping += 1
+                    waiting += barrier_sleeper[core.coreid]
+            else:
+                cycle = trace.cycles + 1
+                if (cycle <= limit and cycle < next_event
+                        and not machine._wake_next):
+                    # That cycle's first phase would change nothing: the
+                    # skip the next pass would take, taken in this one.
+                    if not sleeping or next_event == INFINITY:
+                        return
+                    self._sleep_fast_forward(horizon,
+                                             (halted, sleeping, waiting))
 
     def _next_event_cycle(self) -> float:
         """First cycle after the one whose first phase the gate ran at
-        which a timer or scheduled IRQ fires (INFINITY when none)."""
+        which a timer or scheduled IRQ fires (INFINITY when none).  Every
+        schedule entry lies ahead: ``schedule_interrupt`` takes only
+        future cycles, and each cycle's first phase pops its own."""
         machine = self._machine
         nxt = machine._next_timer_fire
         schedule = machine._irq_schedule
         if schedule:
-            now = machine.trace.cycles
-            for cycle in schedule:
-                if now < cycle < nxt:
-                    nxt = cycle
+            return min(nxt, min(schedule))
         return nxt
 
     def _lockstep_burst(self, running: list, pc: int, horizon: int,

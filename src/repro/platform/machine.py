@@ -45,7 +45,7 @@ from ..cpu.executor import (
 from ..cpu.predecode import KIND_MEM, KIND_SYNC
 from ..cpu.state import CoreMode, CoreState
 from ..isa.program import Program
-from ..isa.spec import Opcode
+from ..isa.spec import STATUS_IE, Opcode
 from .config import PlatformConfig, WITH_SYNCHRONIZER
 from .dxbar import DataCrossbar, DmRequest
 from .engine import DeadlockError, FastEngine, INFINITY, SimulationLimitError
@@ -173,7 +173,18 @@ class Machine:
     # ------------------------------------------------------------------
 
     def schedule_interrupt(self, cycle: int, core: int) -> None:
-        """Latch an interrupt request for ``core`` at absolute ``cycle``."""
+        """Latch an interrupt request for ``core`` at absolute ``cycle``.
+
+        ``cycle`` must lie ahead of the simulated clock: an entry for a
+        cycle already run would never fire.
+        """
+        if cycle <= self.trace.cycles:
+            raise ValueError(
+                f"interrupt cycle {cycle} is not after the current cycle "
+                f"{self.trace.cycles}")
+        if not 0 <= core < self.config.num_cores:
+            raise ValueError(f"no core {core} on a "
+                             f"{self.config.num_cores}-core platform")
         self._irq_schedule.setdefault(cycle, []).append(core)
 
     def add_timer(self, period: int, cores=None, *, offset: int = 0) -> None:
@@ -396,7 +407,7 @@ class Machine:
                 # synchronizer, one level below interrupt-wakeable sleep:
                 # waking it early would let it run past an unreleased
                 # checkpoint.  Its IRQ stays pending until the wakeup.
-                if (pending[cid] and core.interrupts_enabled
+                if (pending[cid] and core.status & STATUS_IE
                         and core.mode is not CoreMode.HALTED
                         and not self._barrier_sleeper[cid]
                         and self._outstanding[cid] is None):

@@ -19,12 +19,16 @@ The fitted values ship as defaults in :mod:`repro.power.defaults`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .components import Component
 from .energy import EnergyCoefficients, EnergyModel
 from .voltage import VoltageModel
+
+# NumPy is imported inside the functions that use it, so ``import
+# repro`` does not load it
+if TYPE_CHECKING:
+    import numpy as np
 
 # ---------------------------------------------------------------------------
 # Published targets (Dogan et al., DATE 2013)
@@ -118,6 +122,8 @@ class CalibrationResult:
 def _component_row(component: Component, rates: dict[str, float],
                    with_sync: bool) -> np.ndarray | None:
     """Linear-combination row over the 9 coefficients, in pJ/cycle."""
+    import numpy as np
+
     row = np.zeros(len(_COEFF_NAMES))
     if component is Component.CORES:
         row[0] = rates["core_active"]
@@ -143,8 +149,9 @@ def _component_row(component: Component, rates: dict[str, float],
 def fit_energy_coefficients(runs: list[RunActivity]
                             ) -> tuple[EnergyCoefficients, float]:
     """Bounded least squares of per-event energies against Table I."""
-    # imported here, not at module level: SciPy roughly doubles the time
-    # and memory of ``import repro``, and only calibration needs it
+    # imported here, not at module level: SciPy and NumPy add to the time
+    # and memory of ``import repro``, and only calibration needs them
+    import numpy as np
     from scipy.optimize import lsq_linear
 
     rows, targets, weights = [], [], []
@@ -182,6 +189,7 @@ def fit_voltage_model(runs: list[RunActivity],
     peak (the analogous operating point to the paper's), and the target is
     the paper's reported saving there.
     """
+    import numpy as np
     from scipy.optimize import least_squares
 
     from .scaling import DesignPowerModel

@@ -9,12 +9,16 @@ sweep over workloads regenerates one curve of the paper's Fig. 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .components import Component
 from .energy import EnergyModel
 from .voltage import VoltageModel
+
+# NumPy is imported inside the functions that use it, so ``import
+# repro`` does not load it
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,8 @@ class DesignPowerModel:
 def log_sweep(lo: float = 1.0, hi: float = 1000.0,
               points: int = 61) -> np.ndarray:
     """Logarithmic workload grid matching Fig. 3's axes (MOps/s)."""
+    import numpy as np
+
     return np.logspace(np.log10(lo), np.log10(hi), points)
 
 

@@ -196,8 +196,14 @@ async def read_request(reader: asyncio.StreamReader) -> Request:
 
 
 async def write_response(writer: asyncio.StreamWriter,
-                         response: Response) -> None:
-    """Serialize one response (fixed-length or chunked) and flush it."""
+                         response: Response, before_end) -> None:
+    """Serialize one response (fixed-length or chunked) and flush it.
+
+    :param before_end: called just before the response's final bytes are
+        written (the whole of a fixed-length response, a stream's
+        terminating chunk), so whatever it records is in place before
+        the client can see the end of the response.
+    """
     status = response.status
     reason = _REASONS.get(status, "Unknown")
     headers = {"Connection": "close",
@@ -206,6 +212,7 @@ async def write_response(writer: asyncio.StreamWriter,
     if response.stream is None:
         body = response.body_bytes()
         headers["Content-Length"] = str(len(body))
+        before_end()
         writer.write(_head(status, reason, headers) + body)
         await writer.drain()
         return
@@ -218,6 +225,7 @@ async def write_response(writer: asyncio.StreamWriter,
                 continue
             writer.write(f"{len(chunk):x}\r\n".encode() + chunk + b"\r\n")
             await writer.drain()
+        before_end()
         writer.write(b"0\r\n\r\n")
         await writer.drain()
     finally:
@@ -236,7 +244,10 @@ def make_handler(router: Router, observer=None):
     :param observer: optional
         :class:`~repro.obs.instruments.ServiceInstruments`; when set,
         every request updates the HTTP counters / latency histogram /
-        in-flight gauge.
+        in-flight gauge.  A request is counted just before the final
+        bytes of its response are written, so a client that has read
+        its whole response finds it counted; its latency runs up to
+        that point.
     """
 
     async def handle(reader: asyncio.StreamReader,
@@ -270,12 +281,18 @@ def make_handler(router: Router, observer=None):
             if request is not None and request.trace is not None:
                 response.headers.setdefault("x-trace-id",
                                             request.trace.trace_id)
-            await write_response(writer, response)
-            elapsed = time.perf_counter() - started
             method = request.method if request is not None else "?"
             route = (request.route or request.path) if request else "?"
-            if observer is not None:
-                observer.observe_http(method, route, response.status, elapsed)
+            elapsed = 0.0
+
+            def before_end() -> None:
+                nonlocal elapsed
+                elapsed = time.perf_counter() - started
+                if observer is not None:
+                    observer.observe_http(method, route, response.status,
+                                          elapsed)
+
+            await write_response(writer, response, before_end)
             emit("http.access", method=method,
                  path=request.path if request else None,
                  route=request.route if request else None,

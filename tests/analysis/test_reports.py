@@ -159,14 +159,18 @@ class TestCli:
         assert "voltage fit residual" in out
 
     def test_import_leaves_scipy_unloaded(self):
-        """Only ``repro calibrate`` fits anything, so importing the
-        package and its CLI must not pay for SciPy."""
+        """Only ``repro calibrate`` fits anything and only the analysis
+        and batch paths compute on arrays, so importing the package and
+        its CLI, and simulating the streaming node, must pay for neither
+        SciPy nor NumPy."""
         src = str(Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH")))))
         probe = ("import sys, repro, repro.cli; "
+                 "from repro.analysis.perf import run_streaming; "
+                 "run_streaming(8); "
                  "print(sorted(m for m in sys.modules "
-                 "if m.split('.')[0] == 'scipy'))")
+                 "if m.split('.')[0] in ('scipy', 'numpy')))")
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr

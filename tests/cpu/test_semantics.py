@@ -6,7 +6,8 @@ the whole ISA, and that each of its three renderings — the predecode
 closure, the fused superblock and the NumPy vec block — matches the
 independent reference executor, form by form, over a multi-run,
 multi-core state: registers, the four flags, PC and the special
-registers.
+registers.  The mode-changing forms (``SLEEP``, ``HALT``) render as
+closures only, checked on mode and PC.
 """
 
 import numpy as np
@@ -16,14 +17,18 @@ from hypothesis import given, settings, strategies as st
 from repro.cpu import blocks, compile_instruction, execute_plain, vec
 from repro.cpu.predecode import predecode
 from repro.cpu.semantics import (
+    BLOCK,
     BURSTABLE,
+    CLOSURE,
     FORMS,
+    VEC,
     KIND_JUMP,
     KIND_MEM,
     KIND_SEQ,
     KIND_STOP,
     KIND_SYNC,
     form_key,
+    rendered,
 )
 from repro.isa import Instruction, Opcode
 from repro.isa.spec import Cond, ShiftOp, SpecialReg, SysOp
@@ -62,7 +67,7 @@ def test_every_opcode_and_sub_op_has_a_form():
         assert FORMS[op, None] == (kind, ()), op
     for key, form in FORMS.items():
         # only NOP and the ignored identity-register writes do nothing
-        assert form.body or form.kind >= KIND_STOP or key in (
+        assert form.body or form.kind > KIND_STOP or key in (
             (Opcode.SYS, SysOp.NOP), (Opcode.MTSR, SpecialReg.COREID),
             (Opcode.MTSR, SpecialReg.NCORES)), key
 
@@ -155,3 +160,25 @@ def test_form_renderings_match_reference(key, data):
         for c, (core, want) in enumerate(zip(run, row)):
             assert _lane(S, pcs, r, c, core) == want, \
                 ("vec", ins, vblock.source)
+
+
+@pytest.mark.parametrize("key", form_keys([KIND_STOP]), ids=form_id)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_mode_changing_closures_match_reference(key, data):
+    """``SLEEP``/``HALT`` closures are rendered from the table, not the
+    reference fallback, and match it on mode, PC and the rest of the
+    core; blocks end before them and the batch engine peels on them, so
+    they have no block or vec rendering."""
+    ins = data.draw(instructions(keys=[key]))
+    core = data.draw(core_states())
+    ref = clone(core)
+    execute_plain(ref, ins)
+    kind, run_closure, _ = compile_instruction(ins)
+    assert kind == KIND_STOP
+    assert "execute_plain" not in run_closure.__code__.co_names
+    lane = clone(core)
+    run_closure(lane)
+    assert snapshot(lane) == snapshot(ref)
+    assert rendered(ins, CLOSURE) is not None
+    assert rendered(ins, BLOCK) is None and rendered(ins, VEC) is None

@@ -166,6 +166,17 @@ def test_duplicate_outcomes_are_flagged_deduped():
     assert all(not o.coalesced for o in outcomes)
 
 
+def test_a_named_default_sync_mode_is_deduped():
+    """MRPDLN with-sync and the same request naming its default mode
+    resolve to one run: the sweep simulates it once."""
+    default = RunRequest("MRPDLN", WITH_SYNC, **SMALL)
+    named = RunRequest("MRPDLN", WITH_SYNC, **SMALL, sync_mode="auto")
+    with SweepExecutor(jobs=0, cache=MemoryCache()) as executor:
+        outcomes = executor.run([default, named])
+    assert [o.source for o in outcomes] == ["executed", "deduped"]
+    assert content(outcomes[1]) == content(outcomes[0])
+
+
 def test_concurrent_runs_simulate_each_digest_once():
     """Six threads, more than the cores, run overlapping sweeps on one
     executor under a short switch interval: every digest simulates

@@ -82,6 +82,23 @@ class TestDigests:
                            sync_min_statements=1000)
         assert request_digest(base) != request_digest(other)
 
+    def test_the_design_default_sync_mode_shares_the_digest(self):
+        """Naming the mode a design defaults to builds the same image and
+        runs the same simulation: one run, one digest."""
+        for design, mode in ((WITH_SYNC, "auto"), (WITHOUT_SYNC, "none")):
+            default = RunRequest("MRPDLN", design, **SMALL)
+            named = RunRequest("MRPDLN", design, **SMALL, sync_mode=mode)
+            assert resolve_program(default) is resolve_program(named)
+            assert request_digest(default) == request_digest(named)
+        assert (request_digest(RunRequest("MRPDLN", WITH_SYNC, **SMALL))
+                != request_digest(RunRequest("MRPDLN", WITH_SYNC, **SMALL,
+                                             sync_mode="all")))
+
+    def test_sync_mode_on_an_assembly_kernel_still_raises(self):
+        with pytest.raises(ValueError, match="assembly"):
+            request_digest(RunRequest("SQRT32", WITH_SYNC, **SMALL,
+                                      sync_mode="auto"))
+
     def test_package_version_changes_the_digest(self):
         request = RunRequest("SQRT32", WITH_SYNC, **SMALL)
         assert (request_digest(request, version="999.0.0")

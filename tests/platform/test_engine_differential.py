@@ -15,8 +15,10 @@ ECG input under the five synchronizer configurations and the
 interleaved baseline,
 interrupt-driven streaming with a periodic timer, scheduled one-shot
 interrupts, period-1/period-2 timer edges, an interrupt one core cannot
-take, cores halting one by one in divergent bursts, incremental
-``run_cycles`` stepping, and the error paths (cycle limit, deadlock).
+take, cores halting one by one in divergent bursts, bursts that put
+the last running cores to sleep beside idle ones or one cycle before a
+timer fire, incremental ``run_cycles`` stepping, and the error paths
+(cycle limit, deadlock, an interrupt scheduled in the past).
 """
 
 import random
@@ -347,6 +349,112 @@ def test_divergent_halts_stay_on_the_fast_path(source, config):
     assert_fast_throughout(fast)
 
 
+def engine_counts(machine) -> dict:
+    """The regime counters of a fast-engine run."""
+    stats = machine.engine_stats.as_dict()
+    return {key: stats[key] for key in (
+        "lockstep_bursts", "lockstep_cycles", "divergent_bursts",
+        "divergent_cycles", "sleep_skips", "sleep_cycles", "deopt_count",
+        "sync_fused_rmws", "fast_cycles")}
+
+
+# Cores 0-3 (the only timer targets) sleep between interrupts, cores 4-5
+# spin and then sleep checked out at a barrier, cores 6-7 spin and then
+# halt.  The longer spin decides which group stops last before the first
+# fire, while the others are already idle; after that, every ISR burst's
+# SLEEP stops the last running cores beside halted and barrier-sleeping
+# ones.
+STOP_BESIDE_IDLE = """
+.entry main
+isr:
+    INC R1                  ; interrupts taken
+    RETI
+main:
+    LI R2, #isr
+    MTSR IVEC, R2
+    LI R2, #30720           ; DEFAULT_SYNC_BASE
+    MTSR RSYNC, R2
+    CLR R1
+    MFSR R0, COREID
+    CMPI R0, #6
+    LBGE halter
+    SINC #0
+    CMPI R0, #4
+    LBLT sleeper
+    LI R3, #{barrier_spin}
+barrier_spin:
+    DEC R3
+    LBNE barrier_spin
+    SDEC #0                 ; cores 4-5 sleep checked out at the barrier
+    JMP done
+halter:
+    LI R3, #{halt_spin}
+halt_spin:
+    DEC R3
+    LBNE halt_spin
+    JMP done
+sleeper:
+    EI
+wait:
+    SLEEP
+    CMPI R1, #3
+    LBLT wait
+    SDEC #0                 ; the last check-outs release cores 4-5
+done:
+    HALT
+"""
+
+
+@pytest.mark.parametrize("barrier_spin,halt_spin,counts", [
+    (20, 2, {"lockstep_bursts": 6, "lockstep_cycles": 84,
+             "divergent_bursts": 3, "divergent_cycles": 24,
+             "sleep_skips": 3, "sleep_cycles": 200, "deopt_count": 0,
+             "sync_fused_rmws": 3, "fast_cycles": 308}),
+    (2, 20, {"lockstep_bursts": 6, "lockstep_cycles": 84,
+             "divergent_bursts": 3, "divergent_cycles": 22,
+             "sleep_skips": 3, "sleep_cycles": 201, "deopt_count": 0,
+             "sync_fused_rmws": 3, "fast_cycles": 307}),
+], ids=["check-out-last", "halt-last"])
+def test_last_running_cores_stop_beside_idle_ones(barrier_spin, halt_spin,
+                                                  counts):
+    """A burst whose last cycle stops every running core (a check-out,
+    a HALT or a SLEEP) takes the sleep skip in the same gate pass, from
+    the pass's census plus the cores that stopped: the halted, sleeping
+    and barrier-wait counters stay bit-exact, and each skip counts once
+    with all its cycles (the pinned regime counters)."""
+    from repro.isa.assembler import assemble
+
+    def setup(machine):
+        machine.add_timer(100, cores=range(4), offset=100)
+
+    source = STOP_BESIDE_IDLE.format(barrier_spin=barrier_spin,
+                                     halt_spin=halt_spin)
+    fast, slow = run_pair(assemble(source), PlatformConfig(num_cores=8),
+                          setup, max_cycles=10_000)
+    assert_equivalent(fast, slow)
+    assert [core.regs[1] for core in fast.cores] == [3] * 4 + [0] * 4
+    assert fast.trace.sync_wait_cycles > 0
+    assert fast.trace.core_halted_cycles > 0
+    assert_fast_throughout(fast)
+    assert engine_counts(fast) == counts
+
+
+def test_sleep_one_cycle_before_the_timer_fires():
+    """The streaming node's prologue and each ISR round run 14 cycles to
+    their SLEEP, so with the first fire at cycle 15 and a period of 14
+    every burst ends one cycle before a fire: no skip is taken, and the
+    next pass delivers the interrupt."""
+    fast, slow = streaming_pair(n_samples=4, period=14, offset=15)
+    assert_equivalent(fast, slow)
+    assert fast.trace.core_sleep_cycles == 0
+    assert_fast_throughout(fast)
+    assert engine_counts(fast) == {
+        "lockstep_bursts": 5, "lockstep_cycles": 69,
+        "divergent_bursts": 0, "divergent_cycles": 0,
+        "sleep_skips": 0, "sleep_cycles": 0, "deopt_count": 0,
+        "sync_fused_rmws": 0, "fast_cycles": 69}
+
+
 def test_scheduled_interrupt_differential():
     """One-shot IRQs land mid-burst and mid-sleep on both engines alike."""
     def setup(machine):
@@ -420,6 +528,24 @@ def test_deadlock_equivalence():
             source, PlatformConfig(num_cores=2), fast_engine=fast_engine)
         with pytest.raises(DeadlockError):
             machine.run(max_cycles=1_000)
+
+
+@pytest.mark.parametrize("fast_engine", [True, False])
+def test_interrupt_scheduled_in_the_past_is_rejected(fast_engine):
+    """An interrupt for a cycle already run would never fire; accepting
+    it kept the run from detecting a deadlock."""
+    machine = Machine.from_assembly(" NOP\n" * 8 + " SLEEP\n HALT\n",
+                                    PlatformConfig(num_cores=2),
+                                    fast_engine=fast_engine)
+    machine.run_cycles(5)
+    for cycle in (3, 5):
+        with pytest.raises(ValueError, match="not after"):
+            machine.schedule_interrupt(cycle, 0)
+    with pytest.raises(ValueError, match="no core 2"):
+        machine.schedule_interrupt(6, 2)
+    with pytest.raises(DeadlockError):
+        machine.run(max_cycles=20_000)
+    assert machine.trace.cycles < 20
 
 
 def test_probes_force_reference_stepping():

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -180,3 +181,69 @@ class TestWireFraming:
         assert body == (b"6\r\nfirst\n\r\n"
                         b"7\r\nsecond\n\r\n"
                         b"0\r\n\r\n")
+
+
+class CountingObserver:
+    """The observer surface ``make_handler`` uses, counting requests."""
+
+    def __init__(self):
+        self.http_inflight = SimpleNamespace(inc=lambda: None,
+                                             dec=lambda: None)
+        self.observed = []
+
+    def observe_http(self, method, route, status, seconds):
+        self.observed.append((method, route, status))
+
+
+class RecordingWriter:
+    """A stream writer that records, with every write, how many requests
+    the observer had counted when the bytes went out."""
+
+    def __init__(self, observer):
+        self.observer = observer
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append((data, len(self.observer.observed)))
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        pass
+
+
+@pytest.mark.parametrize("path", ["/things/x", "/stream"])
+def test_request_is_counted_before_its_last_bytes(path):
+    """A client that has read its whole response finds its request
+    counted: the count moves before the final write (the body of a
+    fixed-length response, a stream's terminating chunk), not after."""
+    router = build_router()
+
+    async def stream_handler(request):
+        async def chunks():
+            yield b"first\n"
+            yield b"second\n"
+
+        return Response(stream=chunks(), content_type="application/x-ndjson")
+
+    router.add("GET", "/stream", stream_handler)
+    observer = CountingObserver()
+    writer = RecordingWriter(observer)
+
+    async def drive():
+        reader = asyncio.StreamReader()
+        reader.feed_data(f"GET {path} HTTP/1.1\r\n\r\n".encode())
+        reader.feed_eof()
+        await make_handler(router, observer)(reader, writer)
+
+    run(drive())
+    assert [status for *_, status in observer.observed] == [200]
+    *earlier, (last, counted) = writer.writes
+    assert counted == 1
+    assert all(seen == 0 for _, seen in earlier)
+    if path == "/stream":
+        assert last == b"0\r\n\r\n"

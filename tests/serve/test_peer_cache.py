@@ -6,7 +6,6 @@ disk tier, pointed at an in-process server: it reads through
 a miss, and switches itself off after ``max_errors`` failed calls.
 """
 
-import time
 from types import SimpleNamespace
 
 import pytest
@@ -53,13 +52,8 @@ def peer_calls(peer, method: str, status: int) -> float:
 
 
 def counted(peer, method: str, status: int, expected: float) -> bool:
-    """Whether the peer's count reaches ``expected`` (the server counts
-    a request just after it has sent the response)."""
-    deadline = time.time() + 10
-    while peer_calls(peer, method, status) < expected:
-        if time.time() > deadline:
-            return False
-        time.sleep(0.005)
+    """Whether the peer's count is ``expected`` (the server counts a
+    request before the end of its response, so one read suffices)."""
     return peer_calls(peer, method, status) == expected
 
 
